@@ -30,17 +30,10 @@ from .features import (
     Waveform,
     compute_log_mel,
     load_spec,
-    normalize,
     read_wav,
     save_spec,
 )
-from .head import (
-    HeadWeights,
-    Prediction,
-    accuracy,
-    classify,
-    mean_average_precision,
-)
+from .head import HeadWeights, accuracy, mean_average_precision
 from .kd import (
     KdBatch,
     KdConfig,
@@ -76,9 +69,7 @@ from .transformer import (
     EncoderOutput,
     ModelConfig,
     ModelWeights,
-    attention_with_keys,
     count_trajectory,
-    encoder_block,
     encoder_forward,
 )
 

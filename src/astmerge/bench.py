@@ -19,9 +19,16 @@ from statistics import median
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, ShapeError
 from .features import compute_log_mel, fit_frames, load_spec, read_wav
-from .head import accuracy, argmax_in_positives, mean_average_precision, softmax, sigmoid
+from .head import (
+    HeadWeights,
+    accuracy,
+    argmax_in_positives,
+    mean_average_precision,
+    softmax,
+    sigmoid,
+)
 from .kd import KdBatch, KdConfig, component_losses, load_teacher_logits
 from .model_io import DatasetManifest
 from .tome import ToMeConfig
@@ -37,7 +44,6 @@ class BenchConfig:
     warmup_runs: int = 2
     measured_runs: int = 3
     threads: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.r_values) == 0:
@@ -71,7 +77,6 @@ class SweepResult:
     metric_name: str
     rows: list[SweepRow]
     batch_size: int
-    seed: int
 
 
 @dataclass
@@ -137,13 +142,24 @@ def _forward_all(
 
 
 def _predict(
-    weights: ModelWeights, cls: np.ndarray
+    head: HeadWeights, task_kind: str, cls: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    logits = cls @ weights.head.linear + weights.head.bias
-    if weights.config.task_kind == "single-label":
+    """(logits, probabilities): linear readout of CLS rows plus the task's
+    activation, softmax for single-label and sigmoid for multi-label."""
+    if head.linear.ndim != 2 or head.linear.shape[0] != cls.shape[-1] or (
+        head.bias.shape != head.linear.shape[1:]
+    ):
+        raise ShapeError(
+            f"head weights {head.linear.shape} and bias {head.bias.shape} do not "
+            f"fit CLS width {cls.shape[-1]}"
+        )
+    logits = cls @ head.linear + head.bias
+    if task_kind == "single-label":
         probs = softmax(logits)
-    else:
+    elif task_kind == "multi-label":
         probs = sigmoid(logits)
+    else:
+        raise ConfigError(f"unknown task kind {task_kind!r}")
     return logits, probs
 
 
@@ -171,7 +187,7 @@ def run_inference(
     specs = inputs if inputs is not None else load_inputs(manifest, weights)
     tome = ToMeConfig(r=r)
     cls, counts = _forward_all(weights, specs, tome, batch_size, threads)
-    logits, probs = _predict(weights, cls)
+    logits, probs = _predict(weights.head, weights.config.task_kind, cls)
     labels = manifest.labels_array(weights.config.n_classes)
     return InferenceResult(
         logits=logits,
@@ -215,7 +231,7 @@ def benchmark_throughput(
         for _ in range(cfg.measured_runs):
             t0 = time.perf_counter()
             cls, counts = _forward_all(weights, specs, tome, cfg.batch_size, cfg.threads)
-            _, probs = _predict(weights, cls)
+            _, probs = _predict(weights.head, task, cls)
             timings.append(time.perf_counter() - t0)
         metric = _metrics(probs, labels, task)[metric_name]
         if baseline is None:
@@ -236,7 +252,6 @@ def benchmark_throughput(
         metric_name=metric_name,
         rows=rows,
         batch_size=cfg.batch_size,
-        seed=cfg.seed,
     )
 
 
@@ -252,7 +267,6 @@ def sweep_report(result: SweepResult) -> tuple[str, str]:
     doc = {
         "metric_name": result.metric_name,
         "batch_size": result.batch_size,
-        "seed": result.seed,
         "rows": [asdict(row) for row in result.rows],
     }
     json_text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -271,21 +285,19 @@ def parse_sweep_report(json_text: str) -> SweepResult:
         metric_name=doc["metric_name"],
         rows=[SweepRow(**row) for row in doc["rows"]],
         batch_size=doc["batch_size"],
-        seed=doc["seed"],
     )
 
 
 def kd_eval(
-    weights: ModelWeights,
-    manifest: DatasetManifest,
+    result: InferenceResult,
     teacher_logits_path: str | Path,
     kd_cfg: KdConfig,
-    r: int = 0,
+    r: int,
     batch_size: int = 16,
-    threads: int = 1,
 ) -> dict:
-    """Distillation-loss report of student predictions vs stored teacher logits."""
-    result = run_inference(weights, manifest, r, batch_size=batch_size, threads=threads)
+    """Distillation-loss report of the student logits of one ``run_inference``
+    at reduction factor ``r`` vs stored teacher logits, overall and per batch
+    of ``batch_size`` samples."""
     teacher = load_teacher_logits(teacher_logits_path)
     n, c = result.logits.shape
     if teacher.shape != (n, c):

@@ -34,6 +34,7 @@ from .bench import (
 )
 from .errors import AstmergeError, ConfigError
 from .features import Spectrogram, save_spec
+from .head import TASK_KINDS
 from .kd import KdConfig, save_teacher_logits
 from .model_io import (
     DatasetManifest,
@@ -70,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("--batch", type=int, default=16)
     b.add_argument("--threads", type=int, default=1)
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--warmup-runs", type=int, default=2)
     b.add_argument("--measured-runs", type=int, default=3)
     b.add_argument(
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mlp-ratio", type=float, default=4.0)
     m.add_argument("--clip-seconds", type=float, default=5.0)
     m.add_argument("--classes", type=int, default=4)
-    m.add_argument("--task", choices=["single-label", "multi-label"], default="single-label")
+    m.add_argument("--task", choices=TASK_KINDS, default=TASK_KINDS[0])
     m.add_argument("--norm-mean", type=float, default=0.0)
     m.add_argument("--norm-std", type=float, default=1.0)
 
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--classes", type=int, default=4)
     d.add_argument("--clip-seconds", type=float, default=5.0)
     d.add_argument("--noise", type=float, default=0.5)
-    d.add_argument("--task", choices=["single-label", "multi-label"], default="single-label")
+    d.add_argument("--task", choices=TASK_KINDS, default=TASK_KINDS[0])
     d.add_argument(
         "--teacher-logits-out",
         default=None,
@@ -142,17 +142,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "final_token_count": int(result.final_token_counts[0]),
             "per_block_counts": result.per_block_counts,
             "n_samples": int(result.probabilities.shape[0]),
-            "seed": args.seed,
         }
         if args.teacher_logits is not None:
             report["kd"] = kd_eval(
-                weights,
-                manifest,
+                result,
                 args.teacher_logits,
                 KdConfig(lam=args.lam, tau=args.tau, task_kind=weights.config.task_kind),
                 r=args.r,
                 batch_size=args.batch,
-                threads=args.threads,
             )
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if args.out_json:
@@ -169,7 +166,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         warmup_runs=args.warmup_runs,
         measured_runs=args.measured_runs,
         threads=args.threads,
-        seed=args.seed,
     )
     result = benchmark_throughput(weights, manifest, cfg)
     json_text, csv_text = sweep_report(result)

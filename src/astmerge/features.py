@@ -1,7 +1,7 @@
 """Log-mel spectrogram front end.
 
-Converts a mono waveform into the normalized 128 x 100t log-mel matrix the
-encoder consumes: 25 ms Hann window, 10 ms hop (100 frames/s), centered
+Converts a mono waveform into the 128 x 100t log-mel matrix the encoder
+consumes (the model's own mean/std shift is applied by the encoder): 25 ms Hann window, 10 ms hop (100 frames/s), centered
 framing with reflection padding so a t-second clip yields exactly
 ceil(100t) frames, power-spectrum mel filterbank, natural log with a small
 floor. Also owns the ``SPEC1`` spectrogram file format and 16-bit PCM WAV
@@ -192,16 +192,6 @@ def compute_log_mel(w: Waveform, cfg: SpectrogramConfig) -> Spectrogram:
     mel = power @ fb.T  # [n_frames x n_mels]
     values = np.log(mel + cfg.log_floor).T.astype(np.float32)
     return Spectrogram(values=values, config=cfg)
-
-
-def normalize(s: Spectrogram, mean: float, std: float) -> Spectrogram:
-    """Shift/scale every value to (v - mean) / std."""
-    if std <= 0:
-        raise ConfigError(f"normalization std must be positive, got {std}")
-    values = ((s.values.astype(np.float32) - np.float32(mean)) / np.float32(std)).astype(
-        np.float32
-    )
-    return Spectrogram(values=values, config=s.config)
 
 
 def read_wav(path: str | Path) -> Waveform:

@@ -14,18 +14,14 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
+# softmax + accuracy, or sigmoid + mAP
+TASK_KINDS = ("single-label", "multi-label")
+
 
 @dataclass
 class HeadWeights:
     linear: np.ndarray  # [d x n_classes]
     bias: np.ndarray  # [n_classes]
-
-
-@dataclass
-class Prediction:
-    logits: np.ndarray
-    probabilities: np.ndarray
-    task_kind: str
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -44,32 +40,11 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
     return out.astype(logits.dtype) if logits.dtype == np.float32 else out
 
 
-def classify(cls: np.ndarray, w: HeadWeights, task_kind: str) -> Prediction:
-    """Linear readout plus the task's activation."""
-    cls = np.asarray(cls, dtype=np.float32)
-    if cls.shape[-1] != w.linear.shape[0]:
-        raise ShapeError(
-            f"CLS dim {cls.shape[-1]} does not match head input {w.linear.shape[0]}"
-        )
-    logits = cls @ w.linear + w.bias
-    if task_kind == "single-label":
-        probs = softmax(logits)
-    elif task_kind == "multi-label":
-        probs = sigmoid(logits)
-    else:
-        raise ConfigError(f"unknown task kind {task_kind!r}")
-    return Prediction(logits=logits, probabilities=probs, task_kind=task_kind)
-
-
-def accuracy(predictions: list[Prediction] | np.ndarray, labels: np.ndarray) -> float:
+def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of samples whose argmax probability hits the label.
 
     Argmax ties resolve to the lowest class index. Single-label only.
     """
-    if isinstance(predictions, np.ndarray):
-        probs = predictions
-    else:
-        probs = np.stack([p.probabilities for p in predictions])
     labels = np.asarray(labels)
     if probs.shape[0] == 0:
         raise ConfigError("accuracy over an empty sample set is undefined")

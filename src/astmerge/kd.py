@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
+from .head import TASK_KINDS, sigmoid, softmax
 
 TLOG1_MAGIC = b"TLOG1"
 
@@ -38,7 +39,7 @@ class KdConfig:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
         if self.tau <= 0.0:
             raise ConfigError(f"temperature must be positive, got {self.tau}")
-        if self.task_kind not in ("single-label", "multi-label"):
+        if self.task_kind not in TASK_KINDS:
             raise ConfigError(f"unknown task kind {self.task_kind!r}")
 
 
@@ -72,19 +73,6 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(z))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _bce_with_logits(z: np.ndarray, targets: np.ndarray) -> float:
     # max(z,0) - z*t + log(1 + exp(-|z|)), stable for any logit magnitude.
     raw = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
@@ -110,7 +98,7 @@ def component_losses(b: KdBatch, cfg: KdConfig) -> tuple[float, float]:
         log_p = _log_softmax(z_s)
         onehot = _single_label_targets(b.labels, c)
         loss_g = float(-(onehot * log_p).sum() / n)
-        soft = _softmax(z_t / cfg.tau)
+        soft = softmax(z_t / cfg.tau)
         loss_d = float(-(soft * log_p).sum() / n)
     else:
         targets = np.asarray(b.labels, dtype=np.float64)
@@ -119,7 +107,7 @@ def component_losses(b: KdBatch, cfg: KdConfig) -> tuple[float, float]:
                 f"multi-label targets {targets.shape} vs logits {z_s.shape}"
             )
         loss_g = _bce_with_logits(z_s, targets)
-        loss_d = _bce_with_logits(z_s, _sigmoid(z_t / cfg.tau))
+        loss_d = _bce_with_logits(z_s, sigmoid(z_t / cfg.tau))
     return loss_g, loss_d
 
 
@@ -139,18 +127,18 @@ def kd_loss_grad(b: KdBatch, cfg: KdConfig) -> np.ndarray:
     z_s, z_t = b.student_logits, b.teacher_logits
     n, c = z_s.shape
     if cfg.task_kind == "single-label":
-        p_s = _softmax(z_s)
+        p_s = softmax(z_s)
         onehot = _single_label_targets(b.labels, c)
-        p_t = _softmax(z_t / cfg.tau)
+        p_t = softmax(z_t / cfg.tau)
         scale = 1.0 / n
     else:
-        p_s = _sigmoid(z_s)
+        p_s = sigmoid(z_s)
         onehot = np.asarray(b.labels, dtype=np.float64)
         if onehot.shape != z_s.shape:
             raise ShapeError(
                 f"multi-label targets {onehot.shape} vs logits {z_s.shape}"
             )
-        p_t = _sigmoid(z_t / cfg.tau)
+        p_t = sigmoid(z_t / cfg.tau)
         scale = 1.0 / (n * c)
     return scale * (cfg.lam * (p_s - onehot) + (1.0 - cfg.lam) * (p_s - p_t))
 

@@ -7,8 +7,8 @@ ln(size_j) offset (proportional attention) so a merged token attends and is
 attended to exactly as strongly as its constituents would be; with all sizes
 at 1 the offset is exactly zero and the block is a plain pre-norm ViT block.
 
-The internal compute path is batched ([B x n x d]) float32; the
-single-sequence operations wrap batch size 1. Merge decisions are
+The compute path is batched ([B x n x d]) float32; ``encoder_forward``
+wraps batch size 1 for single-sequence callers. Merge decisions are
 per-sample, but every sample in a batch shares n and r, so counts stay
 aligned and the batch never ragged.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .features import SpectrogramConfig, fit_frames, frames_for_duration
-from .head import HeadWeights
+from .head import TASK_KINDS, HeadWeights
 from .patchify import (
     EmbeddingWeights,
     PatchConfig,
@@ -35,8 +35,6 @@ from .patchify import (
 from .tome import ToMeConfig, merge_capacity, merge_step
 
 LN_EPS = 1e-5
-
-TASK_KINDS = ("single-label", "multi-label")
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,15 @@ class ModelWeights:
     norm_mean: float = 0.0
     norm_std: float = 1.0
 
+    def __post_init__(self) -> None:
+        # forward_spectrograms divides by norm_std
+        if not (math.isfinite(self.norm_mean) and math.isfinite(self.norm_std)
+                and self.norm_std > 0.0):
+            raise ConfigError(
+                f"norm_mean must be finite and norm_std finite and > 0, got "
+                f"{self.norm_mean} and {self.norm_std}"
+            )
+
     @property
     def expected_frames(self) -> int:
         return frames_for_duration(
@@ -151,15 +158,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     y *= x
     y *= np.float32(0.5)
     return y
-
-
-def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    np.subtract(logits, m, out=logits)
-    np.exp(logits, out=logits)
-    den = logits.sum(axis=-1, keepdims=True)
-    np.divide(logits, den, out=logits)
-    return logits
 
 
 def attention_batch(
@@ -256,8 +254,9 @@ def encoder_forward_batch(
     """Run all blocks plus the final LayerNorm on a [B x n x d] batch.
 
     ``tome=None`` compiles the merge call sites out entirely; ``tome.r == 0``
-    leaves them in as strict no-ops. Returns ([B x d] CLS embeddings, token
-    counts entering each block plus the final count, optional merge trace).
+    leaves them in as strict no-ops. Returns ([B x n_final x d] final
+    LayerNormed tokens, CLS first; token counts entering each block plus the
+    final count; optional merge trace).
     """
     cfg = weights.config
     tokens = np.ascontiguousarray(tokens, dtype=np.float32)
@@ -290,7 +289,7 @@ def encoder_forward_batch(
         tokens = mlp_batch(tokens, bw)
         counts.append(tokens.shape[1])
     final = layer_norm(tokens, weights.final_ln_gain, weights.final_ln_bias)
-    return final[:, 0, :], counts, trace
+    return final, counts, trace
 
 
 def cfg_blocks(weights: ModelWeights) -> list[BlockWeights]:
@@ -302,28 +301,6 @@ def cfg_blocks(weights: ModelWeights) -> list[BlockWeights]:
     return weights.blocks
 
 
-def attention_with_keys(
-    ts: TokenSequence, w: BlockWeights, n_heads: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sequence attention sub-layer; see ``attention_batch``."""
-    out, keys = attention_batch(
-        ts.tokens[None], ts.sizes[None], w, n_heads
-    )
-    return out[0], keys[0]
-
-
-def encoder_block(
-    ts: TokenSequence, w: BlockWeights, n_heads: int, tome: ToMeConfig | None
-) -> TokenSequence:
-    """attention -> merge -> MLP for one sequence."""
-    tokens, keys = attention_with_keys(ts, w, n_heads)
-    merged = TokenSequence(tokens=tokens, sizes=ts.sizes)
-    if tome is not None:
-        merged, _ = merge_step(merged, keys, tome)
-    out = mlp_batch(merged.tokens[None], w)[0]
-    return TokenSequence(tokens=out, sizes=merged.sizes)
-
-
 def encoder_forward(
     ts: TokenSequence,
     weights: ModelWeights,
@@ -331,11 +308,11 @@ def encoder_forward(
     collect_trace: bool = False,
 ) -> EncoderOutput:
     """Full encoder pass over one token sequence."""
-    cls, counts, trace = encoder_forward_batch(
+    final, counts, trace = encoder_forward_batch(
         ts.tokens[None], ts.sizes[None], weights, tome, collect_trace
     )
     return EncoderOutput(
-        cls_embedding=cls[0],
+        cls_embedding=final[0, 0],
         final_token_count=counts[-1],
         per_block_counts=counts,
         merge_trace=trace,
@@ -378,8 +355,8 @@ def forward_spectrograms(
         seqs = [tokens_from_spectrogram(v, weights) for v in chunk]
         tokens = np.stack([s.tokens for s in seqs])
         sizes = np.stack([s.sizes for s in seqs])
-        cls, counts, _ = encoder_forward_batch(tokens, sizes, weights, tome)
-        cls_rows.append(cls)
+        final, counts, _ = encoder_forward_batch(tokens, sizes, weights, tome)
+        cls_rows.append(final[:, 0, :])
     if not cls_rows:
         return np.zeros((0, weights.config.embed_dim), dtype=np.float32), []
     return np.concatenate(cls_rows, axis=0), counts

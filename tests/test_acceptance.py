@@ -266,7 +266,7 @@ def test_c09_throughput_trend(desk_model, desk_dataset):
     )
     cfg = BenchConfig(
         r_values=(0, 10, 20, 30, 40), batch_size=16,
-        warmup_runs=1, measured_runs=3, threads=1, seed=0,
+        warmup_runs=1, measured_runs=3, threads=1,
     )
     result = benchmark_throughput(desk_model, manifest, cfg, inputs=specs)
     speeds = [row.samples_per_second for row in result.rows]

@@ -175,7 +175,7 @@ class TestSweepReport:
 
     def test_empty_report_rejected(self):
         with pytest.raises(ConfigError):
-            sweep_report(SweepResult(metric_name="accuracy", rows=[], batch_size=1, seed=0))
+            sweep_report(SweepResult(metric_name="accuracy", rows=[], batch_size=1))
 
 
 class TestKdEval:
@@ -184,13 +184,15 @@ class TestKdEval:
         tl = tmp_path / "teacher.tlog"
         save_teacher_logits(tl, np.zeros((5, 3), np.float32))
         with pytest.raises(AlignmentError, match=r"5.*9|9.*5"):
-            kd_eval(tiny_model, manifest, tl, KdConfig())
+            kd_eval(run_inference(tiny_model, manifest, r=0), tl, KdConfig(), r=0)
 
     def test_lambda_one_reports_ground_truth_only(self, tmp_path, tiny_model, tiny_dataset_dir):
         base, manifest, _, labels = tiny_dataset_dir
         tl = tmp_path / "teacher.tlog"
         save_teacher_logits(tl, np.zeros((9, 3), np.float32))
-        report = kd_eval(tiny_model, manifest, tl, KdConfig(lam=1.0))
+        report = kd_eval(
+            run_inference(tiny_model, manifest, r=0), tl, KdConfig(lam=1.0), r=0
+        )
         assert report["loss"] == pytest.approx(report["loss_g"], abs=1e-12)
 
     def test_self_distillation_is_mean_entropy(self, tmp_path, tiny_model, tiny_dataset_dir):
@@ -198,7 +200,7 @@ class TestKdEval:
         student = run_inference(tiny_model, manifest, r=0)
         tl = tmp_path / "teacher.tlog"
         save_teacher_logits(tl, student.logits.astype(np.float32))
-        report = kd_eval(tiny_model, manifest, tl, KdConfig(lam=0.0, tau=1.0))
+        report = kd_eval(student, tl, KdConfig(lam=0.0, tau=1.0), r=0)
         p = student.probabilities.astype(np.float64)
         entropy = float(-(p * np.log(p)).sum(axis=1).mean())
         assert report["loss_d"] == pytest.approx(entropy, rel=1e-5)
@@ -208,7 +210,9 @@ class TestKdEval:
         rng = np.random.default_rng(1)
         tl = tmp_path / "teacher.tlog"
         save_teacher_logits(tl, rng.standard_normal((9, 3)).astype(np.float32))
-        report = kd_eval(tiny_model, manifest, tl, KdConfig(lam=0.1, tau=1.0))
+        report = kd_eval(
+            run_inference(tiny_model, manifest, r=0), tl, KdConfig(lam=0.1, tau=1.0), r=0
+        )
         assert report["loss"] == pytest.approx(
             0.1 * report["loss_g"] + 0.9 * report["loss_d"], abs=1e-12
         )

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: generation, bench runs, error categories."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from astmerge import HeadWeights, ModelConfig, bench, generate_synthetic_model, save_model
 from astmerge.cli import main
 
 
@@ -75,6 +77,24 @@ class TestBenchCommand:
             0.1 * kd["loss_g"] + 0.9 * kd["loss_d"], abs=1e-12
         )
 
+    def test_kd_eval_reuses_the_inference_pass(self, workspace, monkeypatch, capsys):
+        tmp, model, manifest, teacher = workspace
+        calls = []
+        forward_all = bench._forward_all
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return forward_all(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_forward_all", counted)
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest),
+            "--r", "2", "--teacher-logits", str(teacher),
+        ])
+        assert code == 0
+        assert "kd" in json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+
 
 class TestErrorReporting:
     def test_train_inf_mode_rejected(self, workspace, capsys):
@@ -106,6 +126,34 @@ class TestErrorReporting:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:format:")
+
+    def test_zero_norm_std_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m.modl"
+        code = main([
+            "make-model", "--out", str(out), "--depth", "1", "--dim", "16",
+            "--heads", "2", "--clip-seconds", "0.16", "--norm-std", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_head_width_mismatch_is_shape_error(self, workspace, capsys):
+        tmp, _, manifest, _ = workspace
+        cfg = ModelConfig(
+            depth=1, embed_dim=32, n_heads=2, mlp_ratio=2.0,
+            clip_seconds=0.16, n_classes=3,
+        )
+        weights = generate_synthetic_model(0, cfg)
+        head = HeadWeights(linear=weights.head.linear[:31], bias=weights.head.bias)
+        bad = tmp / "narrow_head.modl"
+        save_model(bad, replace(weights, head=head))
+        code = main([
+            "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:shape:") and len(err.splitlines()) == 1
 
     def test_teacher_logits_with_sweep_rejected(self, workspace, capsys):
         tmp, model, manifest, teacher = workspace

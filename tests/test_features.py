@@ -1,6 +1,8 @@
-"""Log-mel front end: shape law, silence, tone localization, scaling."""
+"""Log-mel front end: shape law, silence, tone localization, scaling,
+and the model's input normalization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from astmerge import (
     Waveform,
     compute_log_mel,
     load_spec,
-    normalize,
     read_wav,
     save_spec,
 )
@@ -24,6 +25,11 @@ from astmerge.features import (
     write_wav,
 )
 from astmerge.errors import ShapeError
+from astmerge.transformer import (
+    encoder_forward_batch,
+    forward_spectrograms,
+    tokens_from_spectrogram,
+)
 
 from oracles import dft_peak_hz
 
@@ -120,25 +126,37 @@ class TestScaling:
 
 
 class TestNormalize:
-    def test_identity_parameters(self):
-        s = compute_log_mel(sine(500, 0.5), CFG)
-        out = normalize(s, 0.0, 1.0)
-        np.testing.assert_array_equal(out.values, s.values)
+    """forward_spectrograms maps every value v to (v - norm_mean) / norm_std
+    before patchify; checked bitwise on the CLS embeddings it returns."""
 
-    def test_constant_goes_to_zero(self):
-        s = Spectrogram(values=np.full((4, 6), 3.25, dtype=np.float32))
-        out = normalize(s, 3.25, 2.0)
-        assert np.all(out.values == 0.0)
+    @staticmethod
+    def encode(model, values):
+        cls, _ = forward_spectrograms(model, np.asarray(values, np.float32), None)
+        return cls
 
-    def test_two_point_case(self):
-        s = Spectrogram(values=np.array([[1.0, 3.0]], dtype=np.float32))
-        out = normalize(s, 2.0, 1.0)
-        np.testing.assert_array_equal(out.values, [[-1.0, 1.0]])
+    def test_identity_parameters(self, tiny_model):
+        s = compute_log_mel(sine(500, 0.16), CFG)
+        model = replace(tiny_model, norm_mean=0.0, norm_std=1.0)
+        ts = tokens_from_spectrogram(s.values, model)
+        final, _, _ = encoder_forward_batch(ts.tokens[None], ts.sizes[None], model, None)
+        np.testing.assert_array_equal(self.encode(model, s.values[None]), final[:, 0])
 
-    def test_nonpositive_std_rejected(self):
-        s = Spectrogram(values=np.zeros((2, 2), dtype=np.float32))
-        with pytest.raises(ConfigError):
-            normalize(s, 0.0, 0.0)
+    def test_constant_goes_to_zero(self, tiny_model):
+        shifted = replace(tiny_model, norm_mean=3.25, norm_std=2.0)
+        out = self.encode(shifted, np.full((1, 128, 16), 3.25))
+        np.testing.assert_array_equal(out, self.encode(tiny_model, np.zeros((1, 128, 16))))
+
+    def test_two_point_case(self, tiny_model):
+        shifted = replace(tiny_model, norm_mean=2.0, norm_std=1.0)
+        out = self.encode(shifted, np.tile([1.0, 3.0], (1, 128, 8)))
+        expected = self.encode(tiny_model, np.tile([-1.0, 1.0], (1, 128, 8)))
+        np.testing.assert_array_equal(out, expected)
+
+    def test_nonpositive_std_rejected(self, tiny_model):
+        for mean, std in ((0.0, 0.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
+                          (math.nan, 1.0)):
+            with pytest.raises(ConfigError):
+                replace(tiny_model, norm_mean=mean, norm_std=std)
 
 
 class TestSpecFile:

@@ -1,11 +1,12 @@
-"""Classification readout and the accuracy/mAP metrics."""
+"""Classification readout (``bench._predict``) and the accuracy/mAP metrics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from astmerge import ConfigError, HeadWeights, accuracy, classify, mean_average_precision
+from astmerge import ConfigError, HeadWeights, ShapeError, accuracy, mean_average_precision
+from astmerge.bench import _predict
 from astmerge.head import argmax_in_positives, average_precision, softmax
 
 from oracles import ap_reference, map_reference
@@ -22,21 +23,21 @@ def head(d, c, seed=0):
 class TestClassify:
     def test_zero_logits_single_label_uniform(self):
         w = HeadWeights(linear=np.zeros((3, 4), np.float32), bias=np.zeros(4, np.float32))
-        p = classify(np.zeros(3, np.float32), w, "single-label")
-        np.testing.assert_allclose(p.probabilities, 0.25, atol=1e-7)
+        _, probs = _predict(w, "single-label", np.zeros(3, np.float32))
+        np.testing.assert_allclose(probs, 0.25, atol=1e-7)
 
     def test_zero_logits_multi_label_half(self):
         w = HeadWeights(linear=np.zeros((3, 4), np.float32), bias=np.zeros(4, np.float32))
-        p = classify(np.zeros(3, np.float32), w, "multi-label")
-        np.testing.assert_allclose(p.probabilities, 0.5, atol=1e-7)
+        _, probs = _predict(w, "multi-label", np.zeros(3, np.float32))
+        np.testing.assert_allclose(probs, 0.5, atol=1e-7)
 
     def test_ln2_closed_form(self):
         w = HeadWeights(
             linear=np.zeros((1, 2), np.float32),
             bias=np.array([math.log(2.0), 0.0], np.float32),
         )
-        p = classify(np.zeros(1, np.float32), w, "single-label")
-        np.testing.assert_allclose(p.probabilities, [2 / 3, 1 / 3], atol=1e-6)
+        _, probs = _predict(w, "single-label", np.zeros(1, np.float32))
+        np.testing.assert_allclose(probs, [2 / 3, 1 / 3], atol=1e-6)
 
     def test_softmax_sums_to_one_at_large_logits(self):
         rng = np.random.default_rng(1)
@@ -52,7 +53,15 @@ class TestClassify:
     def test_unknown_task_rejected(self):
         w = head(2, 2)
         with pytest.raises(ConfigError):
-            classify(np.zeros(2, np.float32), w, "ranking")
+            _predict(w, "ranking", np.zeros(2, np.float32))
+
+    def test_head_shape_mismatch_rejected(self):
+        w = head(3, 2)
+        with pytest.raises(ShapeError):
+            _predict(w, "single-label", np.zeros((4, 2), np.float32))
+        short_bias = HeadWeights(linear=w.linear, bias=w.bias[:1])
+        with pytest.raises(ShapeError):
+            _predict(short_bias, "single-label", np.zeros((4, 3), np.float32))
 
 
 class TestAccuracy:

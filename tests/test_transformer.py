@@ -1,6 +1,8 @@
 """Encoder blocks: attention oracle, merge placement, count laws, and the
 proportional-attention equivalence that justifies size tracking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,13 @@ from astmerge import (
     ModelConfig,
     ToMeConfig,
     TokenSequence,
-    attention_with_keys,
     count_trajectory,
-    encoder_block,
     encoder_forward,
     generate_synthetic_model,
 )
 from astmerge.transformer import (
     BlockWeights,
+    attention_batch,
     encoder_forward_batch,
     forward_spectrograms,
     layer_norm,
@@ -57,12 +58,32 @@ def zero_block(d, hidden):
     )
 
 
+def one_block_model(w, n_heads):
+    """Depth-1 model whose only block is ``w``."""
+    cfg = ModelConfig(
+        depth=1, embed_dim=w.qkv.shape[0], n_heads=n_heads, mlp_ratio=2.0,
+        clip_seconds=0.16, n_classes=3,
+    )
+    return replace(generate_synthetic_model(0, cfg), blocks=[w])
+
+
+def run_block(ts, model, tome):
+    """All final-LayerNormed output tokens of one sequence, [n_final x d]."""
+    final, _, _ = encoder_forward_batch(ts.tokens[None], ts.sizes[None], model, tome)
+    return final[0]
+
+
+def attention(ts, w, n_heads):
+    out, keys = attention_batch(ts.tokens[None], ts.sizes[None], w, n_heads)
+    return out[0], keys[0]
+
+
 class TestAttention:
     def test_unit_sizes_match_naive_standard_attention(self):
         rng = np.random.default_rng(0)
         ts = random_token_sequence(rng, 6, 12)
         w = random_block(rng, 12, 24)
-        out, keys = attention_with_keys(ts, w, n_heads=2)
+        out, keys = attention(ts, w, n_heads=2)
         ref_out, ref_keys = naive_attention(ts.tokens, ts.sizes, w, 2)
         np.testing.assert_allclose(out, ref_out, atol=1e-5)
         np.testing.assert_allclose(keys, ref_keys, atol=1e-5)
@@ -74,7 +95,7 @@ class TestAttention:
             tokens=rng.standard_normal((6, 12)).astype(np.float32), sizes=sizes
         )
         w = random_block(rng, 12, 24)
-        out, _ = attention_with_keys(ts, w, n_heads=3)
+        out, _ = attention(ts, w, n_heads=3)
         ref_out, _ = naive_attention(ts.tokens, sizes, w, 3)
         np.testing.assert_allclose(out, ref_out, atol=1e-5)
 
@@ -84,7 +105,7 @@ class TestAttention:
         rng = np.random.default_rng(2)
         ts = random_token_sequence(rng, 1, 8)
         w = random_block(rng, 8, 16)
-        out, _ = attention_with_keys(ts, w, n_heads=2)
+        out, _ = attention(ts, w, n_heads=2)
         h = layer_norm(ts.tokens, w.ln1_gain, w.ln1_bias)
         qkv = h @ w.qkv + w.qkv_bias
         v = qkv[:, 16:]
@@ -95,7 +116,7 @@ class TestAttention:
         rng = np.random.default_rng(3)
         ts = random_token_sequence(rng, 5, 12)
         w = random_block(rng, 12, 24)
-        _, keys = attention_with_keys(ts, w, n_heads=3)
+        _, keys = attention(ts, w, n_heads=3)
         assert keys.shape == (5, 4)
 
 
@@ -104,27 +125,30 @@ class TestEncoderBlock:
         rng = np.random.default_rng(4)
         ts = random_token_sequence(rng, 10, 16)
         w = random_block(rng, 16, 32)
-        with_tome = encoder_block(ts, w, 2, ToMeConfig(r=0))
-        without = encoder_block(ts, w, 2, None)
-        np.testing.assert_array_equal(with_tome.tokens, without.tokens)
+        model = one_block_model(w, 2)
+        with_tome = run_block(ts, model, ToMeConfig(r=0))
+        without = run_block(ts, model, None)
+        np.testing.assert_array_equal(with_tome, without)
 
     def test_zero_weights_reduce_to_merging_only(self):
         """With all-zero weights both sub-layers contribute nothing, so the
-        block output equals a bare merge of the inputs."""
+        block output equals a bare merge of the inputs (seen through the
+        final LayerNorm)."""
         rng = np.random.default_rng(5)
         ts = random_token_sequence(rng, 8, 8)
-        w = zero_block(8, 16)
+        model = one_block_model(zero_block(8, 16), 2)
         cfg = ToMeConfig(r=2)
-        out = encoder_block(ts, w, 2, cfg)
+        out = run_block(ts, model, cfg)
         merged, _ = merge_step(ts, np.zeros((8, 4)), cfg)
-        np.testing.assert_array_equal(out.tokens, merged.tokens)
+        expected = layer_norm(merged.tokens, model.final_ln_gain, model.final_ln_bias)
+        np.testing.assert_array_equal(out, expected)
 
     def test_token_count_drops_by_r(self):
         rng = np.random.default_rng(6)
         ts = random_token_sequence(rng, 10, 16)
         w = random_block(rng, 16, 32)
-        out = encoder_block(ts, w, 2, ToMeConfig(r=3))
-        assert out.n_tokens == 7
+        out = run_block(ts, one_block_model(w, 2), ToMeConfig(r=3))
+        assert out.shape[0] == 7
 
 
 class TestEncoderForward:
@@ -165,18 +189,18 @@ class TestEncoderForward:
         row are unchanged up to float noise. Deeper stacks lose this: the
         survivor ordering feeds the next block's alternating partition."""
         rng = np.random.default_rng(10)
-        w = random_block(rng, 16, 32)
+        model = one_block_model(random_block(rng, 16, 32), 2)
         for trial in range(5):
             ts = random_token_sequence(rng, 21, 16)
             perm = np.arange(21)
             perm[1::2] = rng.permutation(np.arange(1, 21, 2))
             perm[2::2] = rng.permutation(np.arange(2, 21, 2))
             ts2 = TokenSequence(tokens=ts.tokens[perm], sizes=ts.sizes[perm])
-            a = encoder_block(ts, w, 2, ToMeConfig(r=4))
-            b = encoder_block(ts2, w, 2, ToMeConfig(r=4))
-            np.testing.assert_allclose(a.tokens[0], b.tokens[0], atol=1e-5)
-            sort_a = a.tokens[np.lexsort(a.tokens.T)]
-            sort_b = b.tokens[np.lexsort(b.tokens.T)]
+            a = run_block(ts, model, ToMeConfig(r=4))
+            b = run_block(ts2, model, ToMeConfig(r=4))
+            np.testing.assert_allclose(a[0], b[0], atol=1e-5)
+            sort_a = a[np.lexsort(a.T)]
+            sort_b = b[np.lexsort(b.T)]
             np.testing.assert_allclose(sort_a, sort_b, atol=1e-5)
 
     def test_merge_trace_collection(self, small_model):
@@ -221,13 +245,13 @@ class TestBatchedPath:
         seqs = [random_token_sequence(rng, 109, 32) for _ in range(3)]
         tokens = np.stack([s.tokens for s in seqs])
         sizes = np.stack([s.sizes for s in seqs])
-        cls_batch, counts, _ = encoder_forward_batch(
+        final, counts, _ = encoder_forward_batch(
             tokens, sizes, small_model, ToMeConfig(r=6)
         )
         for i, s in enumerate(seqs):
             single = encoder_forward(s, small_model, ToMeConfig(r=6))
             np.testing.assert_allclose(
-                cls_batch[i], single.cls_embedding, atol=1e-5
+                final[i, 0], single.cls_embedding, atol=1e-5
             )
             assert counts == single.per_block_counts
 
