@@ -63,7 +63,7 @@ from .patchify import (
     extract_patches,
     patch_count,
 )
-from .tome import MergePlan, ToMeConfig, apply_merge, merge_step, partition, score_edges, select_edges
+from .tome import ToMeConfig, merge_step
 from .transformer import (
     BlockWeights,
     EncoderOutput,

@@ -175,6 +175,15 @@ def _metrics(
     }
 
 
+def _labels(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
+    """The manifest's labels, checked against the model's task and classes."""
+    if manifest.task_kind != weights.config.task_kind:
+        raise AlignmentError(
+            f"manifest is {manifest.task_kind}, model is {weights.config.task_kind}"
+        )
+    return manifest.labels_array(weights.config.n_classes)
+
+
 def run_inference(
     weights: ModelWeights,
     manifest: DatasetManifest,
@@ -184,11 +193,11 @@ def run_inference(
     inputs: np.ndarray | None = None,
 ) -> InferenceResult:
     """Deterministic predictions plus metrics for one reduction factor."""
+    labels = _labels(manifest, weights)
     specs = inputs if inputs is not None else load_inputs(manifest, weights)
     tome = ToMeConfig(r=r)
     cls, counts = _forward_all(weights, specs, tome, batch_size, threads)
     logits, probs = _predict(weights.head, weights.config.task_kind, cls)
-    labels = manifest.labels_array(weights.config.n_classes)
     return InferenceResult(
         logits=logits,
         probabilities=probs,
@@ -213,8 +222,8 @@ def benchmark_throughput(
     """
     if 0 not in cfg.r_values:
         raise ConfigError("r sweep must include r = 0; the drop column needs it")
+    labels = _labels(manifest, weights)
     specs = inputs if inputs is not None else load_inputs(manifest, weights)
-    labels = manifest.labels_array(weights.config.n_classes)
     task = weights.config.task_kind
     metric_name = "accuracy" if task == "single-label" else "map"
     n = specs.shape[0]

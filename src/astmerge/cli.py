@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except AstmergeError as e:
         print(f"error:{e.category}: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error:io: {e}", file=sys.stderr)
         return 2
 

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import AlignmentError, ConfigError, FormatError, ShapeError
 from .features import SpectrogramConfig
-from .head import HeadWeights
+from .head import TASK_KINDS, HeadWeights
 from .patchify import EmbeddingWeights, PatchConfig, patch_count
 from .transformer import BlockWeights, ModelConfig, ModelWeights, forward_spectrograms
 
@@ -236,7 +236,16 @@ class DatasetManifest:
 
     def labels_array(self, n_classes: int | None = None) -> np.ndarray:
         if self.task_kind == "single-label":
-            return np.array([int(label) for _, label in self.entries], dtype=np.int64)
+            labels = [label for _, label in self.entries]
+            for label in labels:
+                if isinstance(label, bool) or not isinstance(label, (int, np.integer)) or (
+                    n_classes is not None and not 0 <= label < n_classes
+                ):
+                    raise AlignmentError(
+                        f"single-label label {label!r} is not a class index in "
+                        f"[0, {n_classes})"
+                    )
+            return np.array(labels, dtype=np.int64)
         rows = [np.asarray(label, dtype=np.float64) for _, label in self.entries]
         mat = np.stack(rows)
         if n_classes is not None and mat.shape[1] != n_classes:
@@ -288,6 +297,15 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise FormatError(
             f"{path}: bad magic {header.get('magic')!r}, expected {MANI1_MAGIC!r}"
         )
+    task_kind, clip_seconds = header.get("task_kind"), header.get("clip_seconds")
+    if task_kind not in TASK_KINDS:
+        raise FormatError(
+            f"{path}: manifest task_kind must be one of {TASK_KINDS}, got {task_kind!r}"
+        )
+    if isinstance(clip_seconds, bool) or not isinstance(clip_seconds, (int, float)):
+        raise FormatError(
+            f"{path}: manifest clip_seconds must be a number, got {clip_seconds!r}"
+        )
     entries = []
     for i, ln in enumerate(lines[1:], start=2):
         try:
@@ -299,8 +317,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         entries.append((row["path"], row["label"]))
     return DatasetManifest(
         entries=entries,
-        task_kind=header["task_kind"],
-        clip_seconds=header["clip_seconds"],
+        task_kind=task_kind,
+        clip_seconds=clip_seconds,
         base_dir=Path(path).resolve().parent,
     )
 

@@ -1,23 +1,23 @@
-"""Bipartite soft matching token merging.
+"""Bipartite soft matching token merging, on a whole batch at once.
 
-One merge step removes up to r tokens: partition the sequence into two
-alternating sets A and B, draw an edge from each A token to its most
-similar B token (cosine over attention keys), keep the r highest-scoring
-edges, and fold each kept source into its destination by a size-weighted
-mean. B tokens never disappear, so placing [CLS] in B protects it while
-still letting it absorb merges. All tie-breaks are lowest-index-first and
-the surviving tokens keep their original relative order, which keeps [CLS]
-at index 0.
+One merge step removes up to r tokens from every sequence: partition each
+sequence into two alternating sets A and B, draw an edge from each A token
+to its most similar B token (cosine over attention keys), keep the r
+highest-scoring edges, and fold each kept source into its destination by a
+size-weighted mean. B tokens never disappear, so placing [CLS] in B protects
+it while still letting it absorb merges. All tie-breaks are lowest-index-first
+and the surviving tokens keep their original relative order, which keeps
+[CLS] at index 0. Every sequence of a batch shares n and r, so the batch
+stays rectangular, and each row comes out exactly as it would alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .patchify import TokenSequence
 
 
 @dataclass(frozen=True)
@@ -32,83 +32,6 @@ class ToMeConfig:
             raise ConfigError(f"reduction factor r must be >= 0, got {self.r}")
 
 
-@dataclass
-class MergePlan:
-    """The selected merges for one step, in original token indices.
-
-    ``edges`` holds (src, dst, similarity) triples ordered by descending
-    similarity; each src appears at most once, dst indices may repeat.
-    """
-
-    set_a: list[int]
-    set_b: list[int]
-    edges: list[tuple[int, int, float]]
-    unmerged_a: list[int] = field(default_factory=list)
-
-
-def partition(n_tokens: int, protect_cls: bool = True) -> tuple[list[int], list[int]]:
-    """Alternating even/odd split into (set_a, set_b).
-
-    Without protection even indices go to A; with protection the parity is
-    flipped so index 0 ([CLS]) always lands in B, the destination side.
-    """
-    if n_tokens < 2:
-        raise ShapeError(f"cannot partition {n_tokens} token(s); need at least 2")
-    idx = list(range(n_tokens))
-    if protect_cls:
-        return idx[1::2], idx[0::2]
-    return idx[0::2], idx[1::2]
-
-
-def score_edges(
-    keys: np.ndarray, sets: tuple[list[int], list[int]]
-) -> np.ndarray:
-    """Cosine similarity matrix [|A| x |B|] over per-token key features.
-
-    Zero-norm keys get the sentinel similarity -1 along their row/column so
-    they sort behind every real match. Computed in float64 so edge ranking
-    is stable against float32 round-off.
-    """
-    set_a = np.asarray(sets[0], dtype=np.intp)
-    set_b = np.asarray(sets[1], dtype=np.intp)
-    keys = np.asarray(keys, dtype=np.float64)
-    if keys.ndim != 2:
-        raise ShapeError(f"keys must be [n_tokens x d], got shape {keys.shape}")
-    n = keys.shape[0]
-    if (set_a.size and set_a.max() >= n) or (set_b.size and set_b.max() >= n):
-        raise ShapeError("partition references token indices beyond the key rows")
-    norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
-    zero = norms == 0.0
-    if zero.any():
-        unit = keys / np.where(zero, 1.0, norms)[:, None]
-        sim = unit[set_a] @ unit[set_b].T
-        sim[zero[set_a], :] = -1.0
-        sim[:, zero[set_b]] = -1.0
-    else:
-        unit = keys / norms[:, None]
-        sim = unit[set_a] @ unit[set_b].T
-    return sim
-
-
-def select_edges(sim: np.ndarray, r: int) -> list[tuple[int, int, float]]:
-    """Keep each A token's best edge, then the top min(r, |A|) by similarity.
-
-    Returns (a_pos, b_pos, similarity) triples as positions within the sets,
-    ordered by descending similarity with ties going to the lower A
-    position. The per-row best edge breaks ties toward the lower B position.
-    """
-    if r < 0:
-        raise ConfigError(f"r must be >= 0, got {r}")
-    n_a = sim.shape[0]
-    k = min(r, n_a)
-    if k == 0:
-        return []
-    best_b = np.argmax(sim, axis=1)  # first max: lowest B position on ties
-    best_sim = sim[np.arange(n_a), best_b]
-    order = np.argsort(-best_sim, kind="stable")  # stable: lower A position on ties
-    return [(int(a), int(best_b[a]), float(best_sim[a])) for a in order[:k]]
-
-
 def merge_capacity(n_tokens: int, protect_cls: bool) -> int:
     """Most tokens one step may remove: |A|, and at least one non-protected
     token (plus [CLS] when protected) must survive."""
@@ -117,69 +40,69 @@ def merge_capacity(n_tokens: int, protect_cls: bool) -> int:
     return max(0, min(n_a, n_tokens - floor))
 
 
-def apply_merge(ts: TokenSequence, plan: MergePlan) -> TokenSequence:
-    """Fold each edge's source token into its destination.
-
-    The destination embedding becomes the size-weighted mean of itself and
-    everything merged into it; its size becomes the sum. Survivors keep
-    their original index order, and the total size mass is conserved.
-    """
-    n = ts.n_tokens
-    if not plan.edges:
-        return ts
-    src = np.fromiter((e[0] for e in plan.edges), dtype=np.intp)
-    dst = np.fromiter((e[1] for e in plan.edges), dtype=np.intp)
-    if src.size != np.unique(src).size:
-        raise ShapeError("merge plan repeats a source token")
-    for arr in (src, dst):
-        if arr.min() < 0 or arr.max() >= n:
-            raise ShapeError("merge plan references token indices out of range")
-
-    # Accumulate source mass into destinations; the delta form
-    # x_d + sum(s_a * (x_a - x_d)) / s_new keeps merging identical vectors
-    # exactly idempotent.
-    weighted_delta = np.zeros_like(ts.tokens, dtype=np.float32)
-    np.add.at(
-        weighted_delta, dst, ts.sizes[src, None] * (ts.tokens[src] - ts.tokens[dst])
-    )
-    size_gain = np.zeros(n, dtype=np.float32)
-    np.add.at(size_gain, dst, ts.sizes[src])
-
-    new_sizes = ts.sizes + size_gain
-    tokens = ts.tokens + weighted_delta / new_sizes[:, None]
-
-    keep = np.ones(n, dtype=bool)
-    keep[src] = False
-    return TokenSequence(tokens=tokens[keep], sizes=new_sizes[keep])
-
-
 def merge_step(
-    ts: TokenSequence, keys: np.ndarray, cfg: ToMeConfig
-) -> tuple[TokenSequence, MergePlan | None]:
-    """One full partition/score/select/merge pass.
+    tokens: np.ndarray, sizes: np.ndarray, keys: np.ndarray, cfg: ToMeConfig
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """One partition/score/select/merge pass over [B x n x d] tokens.
 
-    Removes min(r, capacity) tokens; r = 0 (or a sequence too small to
-    merge) is a strict no-op returning the input unchanged. Returns the
-    merged sequence and the plan that produced it (None when nothing ran).
+    ``sizes`` is [B x n] and ``keys`` [B x n x k]. Removes min(r, capacity)
+    tokens per row; r = 0 (or a sequence too small to merge) is a strict
+    no-op returning the input arrays themselves. ``edges`` is (src, dst,
+    sim), three [B x r] arrays in selection order (descending similarity)
+    and original token indices, or None when nothing merged.
     """
-    n = ts.n_tokens
-    eff_r = min(cfg.r, merge_capacity(n, cfg.protect_cls)) if n >= 2 else 0
-    if eff_r <= 0:
-        return ts, None
-    if np.asarray(keys).shape[0] != n:
+    if tokens.ndim != 3 or sizes.shape != tokens.shape[:2] or (
+        keys.ndim != 3 or keys.shape[:2] != tokens.shape[:2]
+    ):
         raise ShapeError(
-            f"similarity features cover {np.asarray(keys).shape[0]} tokens, "
-            f"sequence has {n}"
+            f"tokens {tokens.shape}, sizes {sizes.shape} and keys {keys.shape} "
+            "do not describe the same [B x n] sequences"
         )
-    set_a, set_b = partition(n, cfg.protect_cls)
-    sim = score_edges(keys, (set_a, set_b))
-    picked = select_edges(sim, eff_r)
-    edges = [(set_a[a], set_b[b], s) for a, b, s in picked]
-    merged_a = {e[0] for e in edges}
-    plan = MergePlan(
-        set_a=set_a,
-        set_b=set_b,
-        edges=edges,
-        unmerged_a=[i for i in set_a if i not in merged_a],
-    )
-    return apply_merge(ts, plan), plan
+    b, n, d = tokens.shape
+    r = min(cfg.r, merge_capacity(n, cfg.protect_cls))
+    if r <= 0:
+        return tokens, sizes, None
+    # Alternating split A = a0::2, B = b0::2; with protection the parity
+    # flips so [CLS] lands in B.
+    a0, b0 = (1, 0) if cfg.protect_cls else (0, 1)
+
+    # Cosine similarity in float64 so edge ranking is stable against float32
+    # round-off; zero-norm keys score the sentinel -1 behind every real match.
+    keys = keys.astype(np.float64)
+    norms = np.sqrt(np.einsum("bij,bij->bi", keys, keys))
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    unit_a = keys[:, a0::2] / norms[:, a0::2, None]
+    unit_b = keys[:, b0::2] / norms[:, b0::2, None]
+    sim = unit_a @ unit_b.transpose(0, 2, 1)
+    sim[zero[:, a0::2]] = -1.0
+    sim.transpose(0, 2, 1)[zero[:, b0::2]] = -1.0
+
+    best_b = sim.argmax(axis=2)  # first max: lowest B position on ties
+    best_sim = np.take_along_axis(sim, best_b[..., None], axis=2)[..., 0]
+    order = np.argsort(-best_sim, axis=1, kind="stable")[:, :r]  # lower A first
+    src = 2 * order + a0
+    dst = 2 * np.take_along_axis(best_b, order, axis=1) + b0
+    edges = (src, dst, np.take_along_axis(best_sim, order, axis=1))
+
+    # Fold sources into destinations on flattened b*n + index rows: x_d
+    # becomes x_d + sum(s_a * (x_a - x_d)) / s_new, summed in edge order.
+    # This delta form keeps merging identical vectors exactly idempotent and
+    # conserves the total size mass.
+    row = np.arange(b)[:, None] * n
+    fsrc, fdst = (src + row).ravel(), (dst + row).ravel()
+    flat, flat_sizes = tokens.reshape(b * n, d), sizes.reshape(b * n)
+    dest, slot = np.unique(fdst, return_inverse=True)
+    delta = np.zeros((dest.size, d), dtype=np.float32)
+    np.add.at(delta, slot, flat_sizes[fsrc, None] * (flat[fsrc] - flat[fdst]))
+    gain = np.zeros(dest.size, dtype=np.float32)
+    np.add.at(gain, slot, flat_sizes[fsrc])
+
+    keep = np.ones(b * n, dtype=bool)
+    keep[fsrc] = False
+    at = np.cumsum(keep)[dest] - 1  # destination rows among the survivors
+    merged, new_sizes = flat[keep], flat_sizes[keep]
+    merged += np.float32(0.0)  # untouched rows are x + 0 as well: -0.0 -> +0.0
+    new_sizes[at] += gain
+    merged[at] = flat[dest] + delta / new_sizes[at, None]
+    return merged.reshape(b, n - r, d), new_sizes.reshape(b, n - r), edges

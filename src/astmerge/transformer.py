@@ -9,8 +9,8 @@ at 1 the offset is exactly zero and the block is a plain pre-norm ViT block.
 
 The compute path is batched ([B x n x d]) float32; ``encoder_forward``
 wraps batch size 1 for single-sequence callers. Merge decisions are
-per-sample, but every sample in a batch shares n and r, so counts stay
-aligned and the batch never ragged.
+per-sample but made for the whole batch at once; every sample shares n and
+r, so counts stay aligned and the batch never ragged.
 """
 
 from __future__ import annotations
@@ -106,6 +106,12 @@ class ModelWeights:
             raise ConfigError(
                 f"norm_mean must be finite and norm_std finite and > 0, got "
                 f"{self.norm_mean} and {self.norm_std}"
+            )
+        c = self.config.n_classes
+        if self.head.linear.shape[-1:] != (c,) or self.head.bias.shape != (c,):
+            raise ShapeError(
+                f"head weights {self.head.linear.shape} and bias "
+                f"{self.head.bias.shape} do not give the model's {c} classes"
             )
 
     @property
@@ -233,15 +239,13 @@ def _merge_batch(
     keys: np.ndarray,
     cfg: ToMeConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply merge_step per sample; all samples lose the same token count."""
-    merged_tokens, merged_sizes = [], []
-    for i in range(tokens.shape[0]):
-        ts, _ = merge_step(
-            TokenSequence(tokens=tokens[i], sizes=sizes[i]), keys[i], cfg
-        )
-        merged_tokens.append(ts.tokens)
-        merged_sizes.append(ts.sizes)
-    return np.stack(merged_tokens), np.stack(merged_sizes)
+    """The encoder's merge call: merge_step without its edges.
+
+    perfbench/tracing.py times and counts merges by this name, reading the
+    (tokens, sizes, keys, cfg) arguments and the merged tokens.
+    """
+    tokens, sizes, _ = merge_step(tokens, sizes, keys, cfg)
+    return tokens, sizes
 
 
 def encoder_forward_batch(

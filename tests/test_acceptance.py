@@ -120,17 +120,22 @@ def test_c04_merge_oracle():
                     tokens = rng.standard_normal((n, d)).astype(np.float32)
                     sizes = rng.integers(1, 4, size=n).astype(np.float32)
                     keys = rng.standard_normal((n, d))
-                    ts = TokenSequence(tokens=tokens.copy(), sizes=sizes.copy())
-                    out, plan = merge_step(ts, keys, ToMeConfig(r=r, protect_cls=protect))
+                    out, out_sizes, edges = merge_step(
+                        tokens.copy()[None], sizes.copy()[None], keys[None],
+                        ToMeConfig(r=r, protect_cls=protect),
+                    )
+                    out, out_sizes = out[0], out_sizes[0]
                     ref_tokens, ref_sizes, ref_edges = brute_force_merge(
                         tokens, sizes, keys, r, protect
                     )
-                    got = [] if plan is None else [(s, t) for s, t, _ in plan.edges]
+                    got = [] if edges is None else list(
+                        zip(edges[0][0].tolist(), edges[1][0].tolist())
+                    )
                     assert got == [(s, t) for s, t, _ in ref_edges], (n, r, protect)
-                    diff = float(np.max(np.abs(out.tokens - ref_tokens))) if out.n_tokens else 0.0
+                    diff = float(np.max(np.abs(out - ref_tokens))) if out.shape[0] else 0.0
                     worst = max(worst, diff)
                     assert diff < 1e-6, (n, r, protect, diff)
-                    np.testing.assert_array_equal(out.sizes, ref_sizes.astype(np.float32))
+                    np.testing.assert_array_equal(out_sizes, ref_sizes.astype(np.float32))
                     checked += 1
     report("C4 merge oracle", True, f"{checked} cases, worst value diff {worst:.2e}")
 

@@ -155,6 +155,75 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error:shape:") and len(err.splitlines()) == 1
 
+    def test_head_columns_differ_from_n_classes_is_shape_error(self, workspace, capsys):
+        tmp, _, manifest, _ = workspace
+        cfg = ModelConfig(
+            depth=1, embed_dim=16, n_heads=2, mlp_ratio=2.0,
+            clip_seconds=0.16, n_classes=3,
+        )
+        weights = generate_synthetic_model(0, cfg)
+        weights.head = HeadWeights(linear=weights.head.linear[:, :2], bias=weights.head.bias[:2])
+        bad = tmp / "two_class_head.modl"
+        save_model(bad, weights)
+        code = main([
+            "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:shape:") and len(err.splitlines()) == 1
+
+    def test_label_outside_the_classes_is_alignment_error(self, workspace, capsys):
+        tmp, model, manifest, _ = workspace
+        lines = manifest.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry["label"] = 9  # the model has 3 classes
+        manifest.write_text("\n".join([lines[0], json.dumps(entry), *lines[2:]]) + "\n")
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:alignment:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "header, category",
+        [
+            ({"task_kind": None}, "format"),
+            ({"task_kind": "bogus"}, "format"),
+            ({"clip_seconds": None}, "format"),
+            ({"clip_seconds": "0.16"}, "format"),
+            ({"task_kind": "multi-label"}, "alignment"),
+        ],
+        ids=["no-task-kind", "unknown-task-kind", "no-clip-seconds",
+             "string-clip-seconds", "task-kind-differs"],
+    )
+    def test_bad_manifest_header(self, workspace, capsys, header, category):
+        """Each header change (None drops the key) exits 2 with one line."""
+        tmp, model, manifest, _ = workspace
+        lines = manifest.read_text().splitlines()
+        doc = json.loads(lines[0])
+        for key, value in header.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        manifest.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:{category}:") and len(err.splitlines()) == 1
+
+    def test_directory_as_model_is_io_error(self, workspace, capsys):
+        tmp, _, manifest, _ = workspace
+        code = main([
+            "bench", "--model", str(tmp), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and len(err.splitlines()) == 1
+
     def test_teacher_logits_with_sweep_rejected(self, workspace, capsys):
         tmp, model, manifest, teacher = workspace
         code = main([

@@ -139,8 +139,8 @@ class TestEncoderBlock:
         model = one_block_model(zero_block(8, 16), 2)
         cfg = ToMeConfig(r=2)
         out = run_block(ts, model, cfg)
-        merged, _ = merge_step(ts, np.zeros((8, 4)), cfg)
-        expected = layer_norm(merged.tokens, model.final_ln_gain, model.final_ln_bias)
+        merged, _, _ = merge_step(ts.tokens[None], ts.sizes[None], np.zeros((1, 8, 4)), cfg)
+        expected = layer_norm(merged[0], model.final_ln_gain, model.final_ln_bias)
         np.testing.assert_array_equal(out, expected)
 
     def test_token_count_drops_by_r(self):
