@@ -196,15 +196,22 @@ def compute_log_mel(w: Waveform, cfg: SpectrogramConfig) -> Spectrogram:
 
 def read_wav(path: str | Path) -> Waveform:
     """Read a 16-bit PCM mono WAV file into a [-1, 1] waveform."""
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1:
-            raise FormatError(f"{path}: expected mono WAV, got {f.getnchannels()} channels")
-        if f.getsampwidth() != 2:
-            raise FormatError(
-                f"{path}: expected 16-bit PCM WAV, got {8 * f.getsampwidth()}-bit"
-            )
-        sr = f.getframerate()
-        raw = f.readframes(f.getnframes())
+    try:
+        with wave.open(str(path), "rb") as f:
+            if f.getnchannels() != 1:
+                raise FormatError(
+                    f"{path}: expected mono WAV, got {f.getnchannels()} channels"
+                )
+            if f.getsampwidth() != 2:
+                raise FormatError(
+                    f"{path}: expected 16-bit PCM WAV, got {8 * f.getsampwidth()}-bit"
+                )
+            sr = f.getframerate()
+            raw = f.readframes(f.getnframes())
+    except (wave.Error, EOFError) as e:  # not RIFF/WAVE, or a truncated header
+        raise FormatError(f"{path}: unreadable WAV file: {e or 'truncated header'}") from e
+    if len(raw) % 2:
+        raise FormatError(f"{path}: WAV data ends inside a sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate=sr)
 

@@ -112,6 +112,43 @@ def save_model(path: str | Path, w: ModelWeights) -> None:
             f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
 
 
+_NUM = (int, float)
+# Every MODL1 header field load_model reads, with the JSON types it accepts.
+_MODL1_HEADER = {
+    "model": {
+        "depth": int, "embed_dim": int, "n_heads": int, "mlp_ratio": _NUM,
+        "clip_seconds": _NUM, "n_classes": int, "task_kind": str,
+    },
+    "spectrogram": {
+        "n_mels": int, "frames_per_second": int, "window_length_ms": _NUM,
+        "hop_length_ms": _NUM, "fft_size": (int, type(None)), "mel_fmin": _NUM,
+        "mel_fmax": (*_NUM, type(None)), "log_floor": _NUM,
+    },
+    "patch": {"patch_size": int, "stride": int, "embed_dim": int},
+    "norm_mean": _NUM,
+    "norm_std": _NUM,
+    "tensors": list,
+}
+
+
+def _check_header(path: str | Path, header: object, schema: dict, prefix: str = "") -> None:
+    """Raise FormatError naming the first ``schema`` field that ``header``
+    lacks or holds with the wrong JSON type."""
+    if not isinstance(header, dict):
+        where = f"header field {prefix[:-1]!r}" if prefix else "header"
+        raise FormatError(f"{path}: MODL1 {where} is not a JSON object")
+    for key, kind in schema.items():
+        name = prefix + key
+        if key not in header:
+            raise FormatError(f"{path}: MODL1 header lacks field {name!r}")
+        if isinstance(kind, dict):
+            _check_header(path, header[key], kind, name + ".")
+        elif isinstance(header[key], bool) or not isinstance(header[key], kind):
+            raise FormatError(
+                f"{path}: MODL1 header field {name!r} has the wrong type: {header[key]!r}"
+            )
+
+
 def load_model(path: str | Path) -> ModelWeights:
     data = Path(path).read_bytes()
     if len(data) < 5 or data[:5] != MODL1_MAGIC:
@@ -127,6 +164,7 @@ def load_model(path: str | Path) -> ModelWeights:
         header = json.loads(data[10 : 10 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: undecodable MODL1 header: {e}") from e
+    _check_header(path, header, _MODL1_HEADER)
 
     m, s, p = header["model"], header["spectrogram"], header["patch"]
     config = ModelConfig(
@@ -154,6 +192,11 @@ def load_model(path: str | Path) -> ModelWeights:
 
     payload = data[10 + header_len :]
     declared = header["tensors"]
+    for t in declared:
+        if not (isinstance(t, dict) and isinstance(t.get("name"), str)
+                and isinstance(t.get("shape"), list)
+                and all(type(v) is int and v >= 0 for v in t["shape"])):
+            raise FormatError(f"{path}: malformed MODL1 tensor entry {t!r}")
     total = sum(int(np.prod(t["shape"])) for t in declared)
     if len(payload) != 4 * total:
         raise FormatError(
@@ -246,13 +289,22 @@ class DatasetManifest:
                         f"[0, {n_classes})"
                     )
             return np.array(labels, dtype=np.int64)
-        rows = [np.asarray(label, dtype=np.float64) for _, label in self.entries]
-        mat = np.stack(rows)
-        if n_classes is not None and mat.shape[1] != n_classes:
-            raise ShapeError(
-                f"manifest labels have {mat.shape[1]} classes, expected {n_classes}"
-            )
-        return mat
+        rows = []
+        for i, (_, label) in enumerate(self.entries):
+            try:
+                rows.append(np.asarray(label, dtype=np.float64))
+            except (TypeError, ValueError):
+                raise AlignmentError(
+                    f"manifest entry {i}: multi-label label {label!r} is not a row of numbers"
+                ) from None
+        width = n_classes if n_classes is not None else rows[0].size if rows else 0
+        for i, row in enumerate(rows):
+            if row.shape != (width,):
+                raise ShapeError(
+                    f"manifest entry {i}: label row of shape {row.shape}, expected "
+                    f"{width} classes"
+                )
+        return np.stack(rows) if rows else np.zeros((0, width))
 
 
 def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:

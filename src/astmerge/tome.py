@@ -68,18 +68,21 @@ def merge_step(
 
     # Cosine similarity in float64 so edge ranking is stable against float32
     # round-off; zero-norm keys score the sentinel -1 behind every real match.
-    keys = keys.astype(np.float64)
-    norms = np.sqrt(np.einsum("bij,bij->bi", keys, keys))
-    zero = norms == 0.0
-    norms[zero] = 1.0
-    unit_a = keys[:, a0::2] / norms[:, a0::2, None]
-    unit_b = keys[:, b0::2] / norms[:, b0::2, None]
-    sim = unit_a @ unit_b.transpose(0, 2, 1)
-    sim[zero[:, a0::2]] = -1.0
-    sim.transpose(0, 2, 1)[zero[:, b0::2]] = -1.0
-
-    best_b = sim.argmax(axis=2)  # first max: lowest B position on ties
-    best_sim = np.take_along_axis(sim, best_b[..., None], axis=2)[..., 0]
+    # One sample at a time: the float64 working set stays cache-sized and no
+    # batch-sized temporary is made.
+    n_a = len(range(a0, n, 2))
+    best_b = np.empty((b, n_a), dtype=np.intp)
+    best_sim = np.empty((b, n_a))
+    for i in range(b):
+        k64 = keys[i].astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", k64, k64))
+        zero = norms == 0.0
+        norms[zero] = 1.0
+        sim = (k64[a0::2] / norms[a0::2, None]) @ (k64[b0::2] / norms[b0::2, None]).T
+        sim[zero[a0::2]] = -1.0
+        sim[:, zero[b0::2]] = -1.0
+        best_b[i] = sim.argmax(axis=1)  # first max: lowest B position on ties
+        best_sim[i] = sim[np.arange(n_a), best_b[i]]
     order = np.argsort(-best_sim, axis=1, kind="stable")[:, :r]  # lower A first
     src = 2 * order + a0
     dst = 2 * np.take_along_axis(best_b, order, axis=1) + b0

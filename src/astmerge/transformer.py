@@ -144,11 +144,18 @@ class EncoderOutput:
     merge_trace: list[MergeTraceEntry] = field(default_factory=list)
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def layer_norm(
+    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """LayerNorm over the last axis, written into ``out`` when it is given."""
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
-    centered = x - mean
+    centered = np.subtract(x, mean, out=out)
     var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
-    return centered / np.sqrt(var + np.float32(LN_EPS)) * gain + bias
+    var += np.float32(LN_EPS)
+    centered /= np.sqrt(var, out=var)
+    centered *= gain
+    centered += bias
+    return centered
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -169,75 +176,77 @@ def gelu(x: np.ndarray) -> np.ndarray:
 def attention_batch(
     x: np.ndarray, sizes: np.ndarray, w: BlockWeights, n_heads: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual attention sub-layer on a [B x n x d] batch.
-
-    Returns the updated tokens and the head-averaged key features
-    [B x n x head_dim] the merge step scores similarity on. One head's
-    attention matrix at a time lives in a reused [n x n] scratch so the
-    score GEMM, softmax and value GEMM all run cache-hot.
-    """
+    """Residual attention sub-layer on a [B x n x d] batch; also returns the
+    head-averaged keys [B x n x head_dim] the merge step scores on. Samples
+    run one at a time through reused [n x d], [n x 3d] and [n x n] buffers,
+    so one sample's working set stays cache-hot and no batch-sized
+    temporary is made."""
     b, n, d = x.shape
     if d % n_heads != 0:
         raise ShapeError(f"embed dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
-    h = layer_norm(x, w.ln1_gain, w.ln1_bias)
-    qkv = (h.reshape(b * n, d) @ w.qkv + w.qkv_bias).reshape(b, n, 3 * d)
-    qkv[..., :d] *= np.float32(1.0 / math.sqrt(dh))  # fold the q scale in
     proportional = bool(np.any(sizes != 1.0))
     if proportional:
         size_offset = np.log(sizes).astype(np.float32)  # [b, n]
-    # Heads stay as strided views into qkv; BLAS handles the strides and the
-    # per-head attention matrix lives in one reused cache-sized scratch.
-    ctx = np.empty((b, n, d), dtype=np.float32)
+    h = np.empty((n, d), dtype=np.float32)
+    qkv = np.empty((n, 3 * d), dtype=np.float32)
     attn = np.empty((n, n), dtype=np.float32)
+    ctx = np.empty((n, d), dtype=np.float32)
+    out = np.empty((b, n, d), dtype=np.float32)
+    keys = np.zeros((b, n, dh), dtype=np.float32)
     for i in range(b):
+        layer_norm(x[i], w.ln1_gain, w.ln1_bias, out=h)
+        np.matmul(h, w.qkv, out=qkv)
+        qkv += w.qkv_bias
+        qkv[:, :d] *= np.float32(1.0 / math.sqrt(dh))  # fold the q scale in
+        # Heads stay as strided views into qkv; BLAS handles the strides.
         for j in range(n_heads):
             cols = slice(j * dh, (j + 1) * dh)
-            q = qkv[i, :, cols]
-            k = qkv[i, :, d + j * dh : d + (j + 1) * dh]
-            v = qkv[i, :, 2 * d + j * dh : 2 * d + (j + 1) * dh]
+            q, k, v = qkv[:, cols], qkv[:, d:][:, cols], qkv[:, 2 * d :][:, cols]
             np.matmul(q, k.T, out=attn)
             if proportional:
                 attn += size_offset[i]
             # softmax with the normalization folded into ctx: divide the
             # [n x dh] output instead of the [n x n] weights
-            m = attn.max(axis=-1, keepdims=True)
-            np.subtract(attn, m, out=attn)
+            attn -= attn.max(axis=-1, keepdims=True)
             np.exp(attn, out=attn)
             den = attn.sum(axis=-1, keepdims=True)
-            np.matmul(attn, v, out=ctx[i, :, cols])
-            ctx[i, :, cols] /= den
-
-    out = x + (ctx.reshape(b * n, d) @ w.proj + w.proj_bias).reshape(b, n, d)
-    keys = qkv[:, :, d : 2 * d].reshape(b, n, n_heads, dh).mean(axis=2)
+            np.matmul(attn, v, out=ctx[:, cols])
+            ctx[:, cols] /= den
+            keys[i] += k  # from zero, in head order: the bits of a mean
+        np.matmul(ctx, w.proj, out=out[i])
+        out[i] += w.proj_bias
+        out[i] += x[i]
+    keys /= np.float32(n_heads)
     return out, keys
 
 
-_MLP_CHUNK = 1024  # rows per chunk; keeps hidden activations cache-resident
+_MLP_ROWS = 256  # rows per slab; one slab's LN and hidden buffers stay in L2
 
 
 def mlp_batch(x: np.ndarray, w: BlockWeights) -> np.ndarray:
-    """Residual MLP sub-layer: x + W2 gelu(W1 ln2(x)).
-
-    Processed in row chunks so the elementwise LayerNorm/GELU passes run on
-    cache-sized slabs instead of streaming the full activation through DRAM.
-    """
+    """Residual MLP sub-layer x + W2 gelu(W1 ln2(x)), run over row slabs in
+    reused LayerNorm and hidden buffers; every matmul writes in place."""
     b, n, d = x.shape
     flat = x.reshape(b * n, d)
     out = np.empty_like(flat)
-    for start in range(0, flat.shape[0], _MLP_CHUNK):
-        chunk = flat[start : start + _MLP_CHUNK]
-        h = layer_norm(chunk, w.ln2_gain, w.ln2_bias)
-        h = gelu(h @ w.mlp_in + w.mlp_in_bias)
-        np.add(chunk, h @ w.mlp_out + w.mlp_out_bias, out=out[start : start + _MLP_CHUNK])
+    rows = min(_MLP_ROWS, flat.shape[0])
+    h = np.empty((rows, d), dtype=np.float32)
+    hidden = np.empty((rows, w.mlp_in.shape[1]), dtype=np.float32)
+    for start in range(0, flat.shape[0], _MLP_ROWS):
+        chunk, dst = flat[start : start + rows], out[start : start + rows]
+        m = chunk.shape[0]
+        layer_norm(chunk, w.ln2_gain, w.ln2_bias, out=h[:m])
+        np.matmul(h[:m], w.mlp_in, out=hidden[:m])
+        hidden[:m] += w.mlp_in_bias
+        np.matmul(gelu(hidden[:m]), w.mlp_out, out=dst)
+        dst += w.mlp_out_bias
+        dst += chunk
     return out.reshape(b, n, d)
 
 
 def _merge_batch(
-    tokens: np.ndarray,
-    sizes: np.ndarray,
-    keys: np.ndarray,
-    cfg: ToMeConfig,
+    tokens: np.ndarray, sizes: np.ndarray, keys: np.ndarray, cfg: ToMeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """The encoder's merge call: merge_step without its edges.
 
@@ -249,11 +258,8 @@ def _merge_batch(
 
 
 def encoder_forward_batch(
-    tokens: np.ndarray,
-    sizes: np.ndarray,
-    weights: ModelWeights,
-    tome: ToMeConfig | None,
-    collect_trace: bool = False,
+    tokens: np.ndarray, sizes: np.ndarray, weights: ModelWeights,
+    tome: ToMeConfig | None, collect_trace: bool = False,
 ) -> tuple[np.ndarray, list[int], list[MergeTraceEntry]]:
     """Run all blocks plus the final LayerNorm on a [B x n x d] batch.
 
@@ -277,19 +283,15 @@ def encoder_forward_batch(
                 )
             tokens, sizes = _merge_batch(tokens, sizes, keys, tome)
             if collect_trace:
-                trace.append(
-                    MergeTraceEntry(
-                        block=bi,
-                        size_sum_before=before_mass,
-                        size_sum_after=float(sizes.sum(dtype=np.float64)),
-                        centroid_before=before_centroid,
-                        centroid_after=np.einsum(
-                            "bn,bnd->d",
-                            sizes.astype(np.float64),
-                            tokens.astype(np.float64),
-                        ),
-                    )
-                )
+                trace.append(MergeTraceEntry(
+                    block=bi,
+                    size_sum_before=before_mass,
+                    size_sum_after=float(sizes.sum(dtype=np.float64)),
+                    centroid_before=before_centroid,
+                    centroid_after=np.einsum(
+                        "bn,bnd->d", sizes.astype(np.float64), tokens.astype(np.float64)
+                    ),
+                ))
         tokens = mlp_batch(tokens, bw)
         counts.append(tokens.shape[1])
     final = layer_norm(tokens, weights.final_ln_gain, weights.final_ln_bias)
@@ -306,9 +308,7 @@ def cfg_blocks(weights: ModelWeights) -> list[BlockWeights]:
 
 
 def encoder_forward(
-    ts: TokenSequence,
-    weights: ModelWeights,
-    tome: ToMeConfig | None,
+    ts: TokenSequence, weights: ModelWeights, tome: ToMeConfig | None,
     collect_trace: bool = False,
 ) -> EncoderOutput:
     """Full encoder pass over one token sequence."""

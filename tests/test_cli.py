@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: generation, bench runs, error categories."""
 
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,32 @@ import pytest
 
 from astmerge import HeadWeights, ModelConfig, bench, generate_synthetic_model, save_model
 from astmerge.cli import main
+
+# Every MODL1 header field, as (section, key); section None is the top level.
+MODL1_FIELDS = [
+    *(("model", k) for k in (
+        "depth", "embed_dim", "n_heads", "mlp_ratio", "clip_seconds", "n_classes",
+        "task_kind",
+    )),
+    *(("spectrogram", k) for k in (
+        "n_mels", "frames_per_second", "window_length_ms", "hop_length_ms",
+        "fft_size", "mel_fmin", "mel_fmax", "log_floor",
+    )),
+    *(("patch", k) for k in ("patch_size", "stride", "embed_dim")),
+    *((None, k) for k in ("model", "spectrogram", "patch", "norm_mean", "norm_std", "tensors")),
+]
+
+
+def edited_model(model, out, edit):
+    """Copy the MODL1 file ``model`` to ``out`` with ``edit`` applied to its
+    JSON header; the tensor payload is kept as it is."""
+    data = model.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 6)
+    header = json.loads(data[10 : 10 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    out.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob + data[10 + header_len :])
+    return out
 
 
 @pytest.fixture()
@@ -214,6 +241,89 @@ class TestErrorReporting:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error:{category}:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("change", ["delete", "retype"])
+    @pytest.mark.parametrize(
+        "section, key", MODL1_FIELDS, ids=[f"{s or 'top'}.{k}" for s, k in MODL1_FIELDS]
+    )
+    def test_bad_model_header(self, workspace, capsys, section, key, change):
+        """Each MODL1 header field deleted, or given a value of the wrong JSON
+        type, exits 2 with one format line that names the field."""
+        tmp, model, manifest, _ = workspace
+
+        def edit(header):
+            fields = header if section is None else header[section]
+            if change == "delete":
+                del fields[key]
+            else:  # a string, or a number where a string belongs
+                fields[key] = 7 if isinstance(fields[key], str) else "7"
+
+        bad = edited_model(model, tmp / "bad_header.modl", edit)
+        code = main([
+            "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+        assert repr(f"{section}.{key}" if section else key) in err
+
+    def test_bad_tensor_entry_is_format_error(self, workspace, capsys):
+        tmp, model, manifest, _ = workspace
+        bad = edited_model(
+            model, tmp / "bad_tensor.modl",
+            lambda header: header["tensors"][0].update(shape=["16", 16]),
+        )
+        code = main([
+            "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+
+    def test_ragged_multi_label_row_is_shape_error(self, tmp_path, capsys):
+        model, data = tmp_path / "ml.modl", tmp_path / "ml"
+        common = ["--seed", "0", "--classes", "3", "--clip-seconds", "0.16", "--task", "multi-label"]
+        assert main([
+            "make-model", "--out", str(model), "--depth", "1", "--dim", "16",
+            "--heads", "2", *common,
+        ]) == 0
+        assert main(["make-data", "--out-dir", str(data), "--samples", "4", *common]) == 0
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        entry = json.loads(lines[2])
+        entry["label"] = [1, 0]  # the model has 3 classes
+        manifest.write_text("\n".join([*lines[:2], json.dumps(entry), *lines[3:]]) + "\n")
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:shape:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "cut", [lambda b: b"JUNK" + b[4:], lambda b: b[:20], lambda b: b[:-1], lambda b: b""],
+        ids=["not-riff", "truncated-header", "truncated-data", "empty"],
+    )
+    def test_corrupt_wav_is_format_error(self, workspace, capsys, cut):
+        from astmerge.features import Waveform, write_wav
+
+        tmp, model, _, _ = workspace
+        good = tmp / "good.wav"
+        write_wav(good, Waveform(samples=np.zeros(2560), sample_rate=16000))
+        (tmp / "bad.wav").write_bytes(cut(good.read_bytes()))
+        manifest = tmp / "wav_manifest.jsonl"
+        manifest.write_text("\n".join(json.dumps(row) for row in [
+            {"magic": "MANI1", "task_kind": "single-label", "clip_seconds": 0.16},
+            {"path": "good.wav", "label": 0},
+            {"path": "bad.wav", "label": 1},
+        ]) + "\n")
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+        assert "bad.wav" in err
 
     def test_directory_as_model_is_io_error(self, workspace, capsys):
         tmp, _, manifest, _ = workspace

@@ -19,6 +19,7 @@ from astmerge import (
     save_manifest,
     save_model,
 )
+from astmerge.errors import AlignmentError, ShapeError
 from astmerge.head import softmax
 from astmerge.model_io import (
     _tensor_table,
@@ -182,6 +183,27 @@ class TestManifest:
         )
         mat = m.labels_array(2)
         np.testing.assert_array_equal(mat, [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "label, n_classes, error",
+        [
+            ([1, 0], 3, ShapeError),
+            ([[1, 0, 1]], 3, ShapeError),
+            (1, 3, ShapeError),
+            ([1, 0], None, ShapeError),  # the first row sets the width
+            (["a", 0, 1], 3, AlignmentError),
+            ([[1], [0, 1]], 3, AlignmentError),
+        ],
+        ids=["short", "nested", "scalar", "ragged-unchecked", "string", "jagged"],
+    )
+    def test_malformed_multi_label_row_rejected(self, label, n_classes, error):
+        m = DatasetManifest(
+            entries=[("a", [0, 1, 1]), ("b", label)],
+            task_kind="multi-label",
+            clip_seconds=1.0,
+        )
+        with pytest.raises(error, match="manifest entry 1"):
+            m.labels_array(n_classes)
 
 
 class TestTeacherLogits:

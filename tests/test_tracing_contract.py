@@ -68,3 +68,32 @@ def test_counters_read_real_calls(tiny_model):
         {"removed": b * min(r, merge_capacity(n, True)), "requested": b * r}
         for r in r_values
     ]
+
+
+def test_layer_norm_spans_nest_in_both_sublayers(small_model):
+    """Every LayerNorm goes through transformer.layer_norm, so the traced
+    run charges it to its own layer from inside attention and MLP alike,
+    and attention still counts the whole batch once per block."""
+    tracing = load_tracing()
+    b, n = 3, small_model.n_tokens
+    rng = np.random.default_rng(1)
+    tokens = rng.standard_normal((b, n, small_model.config.embed_dim)).astype(np.float32)
+    sizes = np.ones((b, n), np.float32)
+
+    tracer = tracing.Tracer()
+    tracer.install({"transformer": transformer})
+    try:
+        _, counts, _ = transformer.encoder_forward_batch(
+            tokens, sizes, small_model, ToMeConfig(r=5)
+        )
+    finally:
+        tracer.uninstall()
+
+    assert tracer.counter_errors == []
+    names = [span.name for span in tracer.spans]
+    ln_parents = {
+        names[span.parent] for span in tracer.spans if span.name == "transformer.layer_norm"
+    }
+    assert {"transformer.attention_batch", "transformer.mlp_batch"} <= ln_parents
+    attn = [s.counts for s in tracer.spans if s.name == "transformer.attention_batch"]
+    assert attn == [{"tokens": b * c} for c in counts[:-1]]

@@ -20,6 +20,7 @@ from astmerge.transformer import (
     encoder_forward_batch,
     forward_spectrograms,
     layer_norm,
+    mlp_batch,
     tokens_from_spectrogram,
 )
 from astmerge.tome import merge_step
@@ -261,6 +262,71 @@ class TestBatchedPath:
         a, _ = forward_spectrograms(tiny_model, specs, ToMeConfig(r=2), batch_size=2)
         b, _ = forward_spectrograms(tiny_model, specs, ToMeConfig(r=2), batch_size=5)
         np.testing.assert_allclose(a, b, atol=1e-5)
+
+
+def bits(a):
+    """The raw float32 bits, so -0.0 and NaN payloads compare exactly."""
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+class TestBlockBuffers:
+    """The block runs in reused per-call buffers; the bits must not move."""
+
+    def test_layer_norm_into_out_is_bitwise(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((7, 24)).astype(np.float32)
+        x[2] = -0.0
+        gain, bias = rng.standard_normal((2, 24)).astype(np.float32)
+        before = x.copy()
+        buf = np.empty_like(x)
+        got = layer_norm(x, gain, bias, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(bits(got), bits(layer_norm(x, gain, bias)))
+        np.testing.assert_array_equal(bits(x), bits(before))
+
+    @pytest.mark.parametrize(
+        "b, n", [(3, 13), (2, 109), (5, 109), (4, 128), (1, 300)],
+        ids=["Bn39", "Bn218", "Bn545", "Bn512", "one-sample-300"],
+    )
+    def test_batch_rows_equal_rows_run_alone(self, b, n):
+        """B·n below 256, a multiple of 256 and neither; merged sizes in all
+        rows but the first, whose unit sizes take the plain-softmax path
+        when run alone."""
+        rng = np.random.default_rng(17 + b * n)
+        d, heads = 24, 3
+        w = random_block(rng, d, 2 * d)
+        x = rng.standard_normal((b, n, d)).astype(np.float32)
+        x[-1, n // 2] = -0.0
+        sizes = rng.integers(1, 4, size=(b, n)).astype(np.float32)
+        sizes[0] = 1.0
+        before = x.copy()
+        out, keys = attention_batch(x, sizes, w, heads)
+        mlp = mlp_batch(x, w)
+        np.testing.assert_array_equal(bits(x), bits(before))
+        for i in range(b):
+            out1, keys1 = attention_batch(x[i : i + 1], sizes[i : i + 1], w, heads)
+            np.testing.assert_array_equal(bits(out[i]), bits(out1[0]))
+            np.testing.assert_array_equal(bits(keys[i]), bits(keys1[0]))
+            np.testing.assert_array_equal(bits(mlp[i]), bits(mlp_batch(x[i : i + 1], w)[0]))
+
+    def test_peak_memory_has_no_batch_sized_temporaries(self):
+        """Desk-shaped [4 x 589 x 192] batch. Batch-wide LayerNorm, QKV and
+        context arrays would peak near 8x and 5x the input."""
+        import tracemalloc
+
+        rng = np.random.default_rng(18)
+        w = random_block(rng, 192, 768)
+        x = rng.standard_normal((4, 589, 192)).astype(np.float32)
+        sizes = np.ones((4, 589), np.float32)
+        for run, bound in ((lambda: attention_batch(x, sizes, w, 3), 4),
+                           (lambda: mlp_batch(x, w), 3)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * x.nbytes
 
 
 class TestPipeline:
