@@ -2,9 +2,9 @@
 
 A sweep row measures one reduction factor: the manifest is preloaded into
 memory, the timed region covers patchify + encoder + head over the whole
-set (warmup passes first, median of the measured passes reported), and the
-metric drop is taken against the r = 0 row. Everything except wall-clock
-timings is bit-reproducible for fixed inputs; batch composition is fixed by
+set (every r's warmup passes first, then the measured passes round-robin
+over r, median per r reported), and the metric drop is taken against the
+r = 0 row. Everything except wall-clock timings is bit-reproducible for fixed inputs; batch composition is fixed by
 batch size alone, so worker threads change timings but never results.
 """
 
@@ -228,29 +228,32 @@ def benchmark_throughput(
     metric_name = "accuracy" if task == "single-label" else "map"
     n = specs.shape[0]
 
-    rows = []
-    baseline = None
-    for r in sorted(set(cfg.r_values)):
-        tome = ToMeConfig(r=r)
-        for _ in range(cfg.warmup_runs):
-            _forward_all(weights, specs, tome, cfg.batch_size, cfg.threads)
-        timings = []
-        probs = None
-        counts: list[int] = []
-        for _ in range(cfg.measured_runs):
+    r_values = sorted(set(cfg.r_values))
+    timings: dict[int, list[float]] = {r: [] for r in r_values}
+    outputs: dict[int, tuple[np.ndarray, list[int]]] = {}
+    # Every r is warmed up first; the measured passes then cycle through r,
+    # so a drift in machine speed is shared by all rows, not borne by one r.
+    for run in range(cfg.warmup_runs + cfg.measured_runs):
+        for r in r_values:
             t0 = time.perf_counter()
-            cls, counts = _forward_all(weights, specs, tome, cfg.batch_size, cfg.threads)
-            _, probs = _predict(weights.head, task, cls)
-            timings.append(time.perf_counter() - t0)
+            cls, counts = _forward_all(
+                weights, specs, ToMeConfig(r=r), cfg.batch_size, cfg.threads
+            )
+            if run >= cfg.warmup_runs:
+                _, probs = _predict(weights.head, task, cls)
+                timings[r].append(time.perf_counter() - t0)
+                outputs[r] = (probs, counts)
+
+    rows = []
+    for r in r_values:
+        probs, counts = outputs[r]
         metric = _metrics(probs, labels, task)[metric_name]
-        if baseline is None:
-            baseline = metric  # first row is r = 0
         rows.append(
             SweepRow(
                 r=r,
                 metric=metric,
-                drop=metric - baseline,
-                samples_per_second=n / median(timings),
+                drop=metric - rows[0].metric if rows else 0.0,  # first row is r = 0
+                samples_per_second=n / median(timings[r]),
                 final_token_count=counts[-1],
                 thread_count=cfg.threads,
                 warmup_runs=cfg.warmup_runs,

@@ -4,13 +4,14 @@ Converts a mono waveform into the 128 x 100t log-mel matrix the encoder
 consumes (the model's own mean/std shift is applied by the encoder): 25 ms Hann window, 10 ms hop (100 frames/s), centered
 framing with reflection padding so a t-second clip yields exactly
 ceil(100t) frames, power-spectrum mel filterbank, natural log with a small
-floor. Also owns the ``SPEC1`` spectrogram file format and 16-bit PCM WAV
-ingestion.
+floor. Also owns the matrix file layout that ``SPEC1`` spectrograms and
+``TLOG1`` teacher logits share, and 16-bit PCM WAV ingestion.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -226,32 +227,47 @@ def write_wav(path: str | Path, w: Waveform) -> None:
         f.writeframes(pcm.tobytes())
 
 
-def save_spec(path: str | Path, s: Spectrogram) -> None:
-    """Write the SPEC1 format: magic, u32 n_mels, u32 n_frames, f32 row-major."""
-    values = np.ascontiguousarray(s.values, dtype="<f4")
+def save_matrix(path: str | Path, magic: bytes, values: np.ndarray) -> None:
+    """Write the layout SPEC1 and TLOG1 share: 5-byte magic, u32 rows,
+    u32 cols, float32 row-major."""
+    values = np.ascontiguousarray(values, dtype="<f4")
+    if values.ndim != 2:
+        raise ShapeError(f"{magic.decode()} holds a 2-D matrix, got shape {values.shape}")
     with open(path, "wb") as f:
-        f.write(SPEC1_MAGIC)
-        f.write(struct.pack("<II", values.shape[0], values.shape[1]))
+        f.write(magic)
+        f.write(struct.pack("<II", *values.shape))
         f.write(values.tobytes())
+
+
+def load_matrix(path: str | Path, magic: bytes) -> np.ndarray:
+    """Read a ``save_matrix`` file; a NaN or infinite value is a format error."""
+    name = magic.decode()
+    with open(path, "rb") as f:
+        head = f.read(13)
+        if head[:5] != magic:
+            raise FormatError(f"{path}: bad magic {head[:5]!r}, expected {magic!r}")
+        if len(head) < 13:
+            raise FormatError(f"{path}: truncated {name} header")
+        rows, cols = struct.unpack_from("<II", head, 5)
+        size, expected = os.fstat(f.fileno()).st_size, 13 + 4 * rows * cols
+        if size != expected:
+            raise FormatError(f"{path}: {name} payload is {size} bytes, expected {expected}")
+        values = np.empty((rows, cols), dtype="<f4")  # sized by the file, not the header
+        if f.readinto(values) != size - 13:
+            raise FormatError(f"{path}: {name} file shrank while it was read")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: {name} holds NaN or infinite values")
+    return values
+
+
+def save_spec(path: str | Path, s: Spectrogram) -> None:
+    """Write SPEC1: a [n_mels x n_frames] matrix (mel-major)."""
+    save_matrix(path, SPEC1_MAGIC, s.values)
 
 
 def load_spec(path: str | Path) -> Spectrogram:
     """Read a SPEC1 file. The format carries no front-end config."""
-    data = Path(path).read_bytes()
-    if len(data) < 5 or data[:5] != SPEC1_MAGIC:
-        raise FormatError(
-            f"{path}: bad magic {data[:5]!r}, expected {SPEC1_MAGIC!r}"
-        )
-    if len(data) < 13:
-        raise FormatError(f"{path}: truncated SPEC1 header")
-    n_mels, n_frames = struct.unpack_from("<II", data, 5)
-    expected = 13 + 4 * n_mels * n_frames
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: SPEC1 payload is {len(data)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(data, dtype="<f4", offset=13).reshape(n_mels, n_frames)
-    return Spectrogram(values=values.copy(), config=None)
+    return Spectrogram(values=load_matrix(path, SPEC1_MAGIC))
 
 
 def fit_frames(values: np.ndarray, expected_frames: int) -> np.ndarray:

@@ -16,13 +16,13 @@ float64.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, ShapeError
+from .features import load_matrix, save_matrix
 from .head import TASK_KINDS, sigmoid, softmax
 
 TLOG1_MAGIC = b"TLOG1"
@@ -144,26 +144,9 @@ def kd_loss_grad(b: KdBatch, cfg: KdConfig) -> np.ndarray:
 
 
 def save_teacher_logits(path: str | Path, logits: np.ndarray) -> None:
-    """Write TLOG1: magic, u32 n_samples, u32 n_classes, f32 row-major."""
-    logits = np.ascontiguousarray(logits, dtype="<f4")
-    if logits.ndim != 2:
-        raise ShapeError("teacher logits must be [n_samples x n_classes]")
-    with open(path, "wb") as f:
-        f.write(TLOG1_MAGIC)
-        f.write(struct.pack("<II", logits.shape[0], logits.shape[1]))
-        f.write(logits.tobytes())
+    """Write TLOG1: an [n_samples x n_classes] matrix."""
+    save_matrix(path, TLOG1_MAGIC, logits)
 
 
 def load_teacher_logits(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 5 or data[:5] != TLOG1_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:5]!r}, expected {TLOG1_MAGIC!r}")
-    if len(data) < 13:
-        raise FormatError(f"{path}: truncated TLOG1 header")
-    n, c = struct.unpack_from("<II", data, 5)
-    expected = 13 + 4 * n * c
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: TLOG1 payload is {len(data)} bytes, expected {expected}"
-        )
-    return np.frombuffer(data, dtype="<f4", offset=13).reshape(n, c).copy()
+    return load_matrix(path, TLOG1_MAGIC)

@@ -16,8 +16,9 @@ on the frozen encoder's [CLS] embedding beats chance by a wide margin.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,13 @@ from .errors import AlignmentError, ConfigError, FormatError, ShapeError
 from .features import SpectrogramConfig
 from .head import TASK_KINDS, HeadWeights
 from .patchify import EmbeddingWeights, PatchConfig, patch_count
-from .transformer import BlockWeights, ModelConfig, ModelWeights, forward_spectrograms
+from .transformer import (
+    BlockWeights,
+    ModelConfig,
+    ModelWeights,
+    cfg_blocks,
+    forward_spectrograms,
+)
 
 MODL1_MAGIC = b"MODL1"
 MODL1_VERSION = 1
@@ -39,64 +46,77 @@ _MASK64 = (1 << 64) - 1
 # MODL1 model files
 # --------------------------------------------------------------------------
 
+def _layout(
+    config: ModelConfig, spec_config: SpectrogramConfig, patch_config: PatchConfig
+) -> dict[str, tuple[int, ...]]:
+    """Every MODL1 tensor's name and shape, in file order.
+
+    A name is ``<owner>.<field>``: owner ``patch`` is the EmbeddingWeights,
+    ``block<i>`` the i-th BlockWeights and ``head`` the HeadWeights; a name
+    without an owner is a ModelWeights field.
+    """
+    d, hidden, c = config.embed_dim, config.hidden_dim, config.n_classes
+    n_tokens = 1 + patch_count(config.clip_seconds, patch_config, spec_config)  # + [CLS]
+    block = {
+        "ln1_gain": (d,), "ln1_bias": (d,), "qkv": (d, 3 * d), "qkv_bias": (3 * d,),
+        "proj": (d, d), "proj_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
+        "mlp_in": (d, hidden), "mlp_in_bias": (hidden,),
+        "mlp_out": (hidden, d), "mlp_out_bias": (d,),
+    }
+    return {
+        "patch.projection": (patch_config.patch_values, d),
+        "patch.projection_bias": (d,),
+        "patch.positional": (n_tokens, d),
+        "patch.cls_token": (d,),
+        **{
+            f"block{i}.{field}": shape
+            for i in range(config.depth)
+            for field, shape in block.items()
+        },
+        "final_ln_gain": (d,),
+        "final_ln_bias": (d,),
+        "head.linear": (d, c),
+        "head.bias": (c,),
+    }
+
+
 def _tensor_table(w: ModelWeights) -> list[tuple[str, np.ndarray]]:
-    table = [
-        ("patch.projection", w.embedding.projection),
-        ("patch.projection_bias", w.embedding.projection_bias),
-        ("patch.positional", w.embedding.positional),
-        ("patch.cls_token", w.embedding.cls_token),
-    ]
-    for i, b in enumerate(w.blocks):
-        table += [
-            (f"block{i}.ln1_gain", b.ln1_gain),
-            (f"block{i}.ln1_bias", b.ln1_bias),
-            (f"block{i}.qkv", b.qkv),
-            (f"block{i}.qkv_bias", b.qkv_bias),
-            (f"block{i}.proj", b.proj),
-            (f"block{i}.proj_bias", b.proj_bias),
-            (f"block{i}.ln2_gain", b.ln2_gain),
-            (f"block{i}.ln2_bias", b.ln2_bias),
-            (f"block{i}.mlp_in", b.mlp_in),
-            (f"block{i}.mlp_in_bias", b.mlp_in_bias),
-            (f"block{i}.mlp_out", b.mlp_out),
-            (f"block{i}.mlp_out_bias", b.mlp_out_bias),
-        ]
-    table += [
-        ("final_ln_gain", w.final_ln_gain),
-        ("final_ln_bias", w.final_ln_bias),
-        ("head.linear", w.head.linear),
-        ("head.bias", w.head.bias),
-    ]
+    """(name, tensor) for every ``_layout`` name, in file order."""
+    owners = {
+        "patch": w.embedding,
+        **{f"block{i}": b for i, b in enumerate(cfg_blocks(w))},
+        "": w,
+        "head": w.head,
+    }
+    table = []
+    for name in _layout(w.config, w.spec_config, w.patch_config):
+        owner, _, field = name.rpartition(".")
+        table.append((name, getattr(owners[owner], field)))
     return table
+
+
+def _assemble(tensors: dict[str, np.ndarray], **fields) -> ModelWeights:
+    """ModelWeights from a tensor for every ``_layout`` name plus its other
+    ``fields``."""
+    owned: dict[str, dict[str, np.ndarray]] = {}
+    for name, t in tensors.items():
+        owner, _, field = name.rpartition(".")
+        owned.setdefault(owner, {})[field] = t
+    return ModelWeights(
+        embedding=EmbeddingWeights(**owned["patch"]),
+        blocks=[BlockWeights(**owned[f"block{i}"]) for i in range(fields["config"].depth)],
+        head=HeadWeights(**owned["head"]),
+        **owned[""],
+        **fields,
+    )
 
 
 def save_model(path: str | Path, w: ModelWeights) -> None:
     table = _tensor_table(w)
     header = {
-        "model": {
-            "depth": w.config.depth,
-            "embed_dim": w.config.embed_dim,
-            "n_heads": w.config.n_heads,
-            "mlp_ratio": w.config.mlp_ratio,
-            "clip_seconds": w.config.clip_seconds,
-            "n_classes": w.config.n_classes,
-            "task_kind": w.config.task_kind,
-        },
-        "spectrogram": {
-            "n_mels": w.spec_config.n_mels,
-            "frames_per_second": w.spec_config.frames_per_second,
-            "window_length_ms": w.spec_config.window_length_ms,
-            "hop_length_ms": w.spec_config.hop_length_ms,
-            "fft_size": w.spec_config.fft_size,
-            "mel_fmin": w.spec_config.mel_fmin,
-            "mel_fmax": w.spec_config.mel_fmax,
-            "log_floor": w.spec_config.log_floor,
-        },
-        "patch": {
-            "patch_size": w.patch_config.patch_size,
-            "stride": w.patch_config.stride,
-            "embed_dim": w.patch_config.embed_dim,
-        },
+        "model": asdict(w.config),
+        "spectrogram": asdict(w.spec_config),
+        "patch": asdict(w.patch_config),
         "norm_mean": w.norm_mean,
         "norm_std": w.norm_std,
         "tensors": [
@@ -114,6 +134,7 @@ def save_model(path: str | Path, w: ModelWeights) -> None:
 
 _NUM = (int, float)
 # Every MODL1 header field load_model reads, with the JSON types it accepts.
+# Each config section holds its dataclass's fields; other keys are ignored.
 _MODL1_HEADER = {
     "model": {
         "depth": int, "embed_dim": int, "n_heads": int, "mlp_ratio": _NUM,
@@ -124,7 +145,7 @@ _MODL1_HEADER = {
         "hop_length_ms": _NUM, "fft_size": (int, type(None)), "mel_fmin": _NUM,
         "mel_fmax": (*_NUM, type(None)), "log_floor": _NUM,
     },
-    "patch": {"patch_size": int, "stride": int, "embed_dim": int},
+    "patch": {"patch_size": int, "stride": int},
     "norm_mean": _NUM,
     "norm_std": _NUM,
     "tensors": list,
@@ -166,102 +187,49 @@ def load_model(path: str | Path) -> ModelWeights:
         raise FormatError(f"{path}: undecodable MODL1 header: {e}") from e
     _check_header(path, header, _MODL1_HEADER)
 
-    m, s, p = header["model"], header["spectrogram"], header["patch"]
-    config = ModelConfig(
-        depth=m["depth"],
-        embed_dim=m["embed_dim"],
-        n_heads=m["n_heads"],
-        mlp_ratio=m["mlp_ratio"],
-        clip_seconds=m["clip_seconds"],
-        n_classes=m["n_classes"],
-        task_kind=m["task_kind"],
-    )
-    spec_config = SpectrogramConfig(
-        n_mels=s["n_mels"],
-        frames_per_second=s["frames_per_second"],
-        window_length_ms=s["window_length_ms"],
-        hop_length_ms=s["hop_length_ms"],
-        fft_size=s["fft_size"],
-        mel_fmin=s["mel_fmin"],
-        mel_fmax=s["mel_fmax"],
-        log_floor=s["log_floor"],
-    )
-    patch_config = PatchConfig(
-        patch_size=p["patch_size"], stride=p["stride"], embed_dim=p["embed_dim"]
-    )
+    def section(name: str, cls: type):
+        return cls(**{key: header[name][key] for key in _MODL1_HEADER[name]})
 
-    payload = data[10 + header_len :]
-    declared = header["tensors"]
-    for t in declared:
+    configs = {
+        "config": section("model", ModelConfig),
+        "spec_config": section("spectrogram", SpectrogramConfig),
+        "patch_config": section("patch", PatchConfig),
+    }
+    layout = _layout(**configs)
+    declared: dict[str, tuple[int, ...]] = {}
+    for t in header["tensors"]:
         if not (isinstance(t, dict) and isinstance(t.get("name"), str)
                 and isinstance(t.get("shape"), list)
                 and all(type(v) is int and v >= 0 for v in t["shape"])):
             raise FormatError(f"{path}: malformed MODL1 tensor entry {t!r}")
-    total = sum(int(np.prod(t["shape"])) for t in declared)
-    if len(payload) != 4 * total:
+        name, shape = t["name"], tuple(t["shape"])
+        if name not in layout or name in declared:
+            what = "unknown" if name not in layout else "duplicate"
+            raise FormatError(f"{path}: {what} tensor {name!r} in MODL1 file")
+        if shape != layout[name]:
+            raise ShapeError(
+                f"{path}: tensor {name!r} has shape {list(shape)}, the model's "
+                f"config gives {list(layout[name])}"
+            )
+        declared[name] = shape
+    missing = [name for name in layout if name not in declared]
+    if missing:
+        raise FormatError(f"{path}: tensors {missing} missing from MODL1 file")
+
+    offset, total = 10 + header_len, 4 * sum(map(math.prod, declared.values()))
+    if len(data) - offset != total:
         raise FormatError(
-            f"{path}: tensor payload is {len(payload)} bytes, header declares "
-            f"{4 * total}"
+            f"{path}: tensor payload is {len(data) - offset} bytes, header declares {total}"
         )
     tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for t in declared:
-        count = int(np.prod(t["shape"]))
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors[t["name"]] = arr.reshape(t["shape"]).copy()
+    for name, shape in declared.items():
+        count = math.prod(shape)
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        tensors[name] = arr.reshape(shape).copy()
         offset += 4 * count
-
-    def take(name: str) -> np.ndarray:
-        if name not in tensors:
-            raise FormatError(f"{path}: tensor {name!r} missing from MODL1 file")
-        return tensors.pop(name)
-
-    embedding = EmbeddingWeights(
-        projection=take("patch.projection"),
-        projection_bias=take("patch.projection_bias"),
-        positional=take("patch.positional"),
-        cls_token=take("patch.cls_token"),
+    return _assemble(
+        tensors, **configs, norm_mean=header["norm_mean"], norm_std=header["norm_std"]
     )
-    blocks = [
-        BlockWeights(
-            ln1_gain=take(f"block{i}.ln1_gain"),
-            ln1_bias=take(f"block{i}.ln1_bias"),
-            qkv=take(f"block{i}.qkv"),
-            qkv_bias=take(f"block{i}.qkv_bias"),
-            proj=take(f"block{i}.proj"),
-            proj_bias=take(f"block{i}.proj_bias"),
-            ln2_gain=take(f"block{i}.ln2_gain"),
-            ln2_bias=take(f"block{i}.ln2_bias"),
-            mlp_in=take(f"block{i}.mlp_in"),
-            mlp_in_bias=take(f"block{i}.mlp_in_bias"),
-            mlp_out=take(f"block{i}.mlp_out"),
-            mlp_out_bias=take(f"block{i}.mlp_out_bias"),
-        )
-        for i in range(config.depth)
-    ]
-    weights = ModelWeights(
-        config=config,
-        spec_config=spec_config,
-        patch_config=patch_config,
-        embedding=embedding,
-        blocks=blocks,
-        final_ln_gain=take("final_ln_gain"),
-        final_ln_bias=take("final_ln_bias"),
-        head=HeadWeights(linear=take("head.linear"), bias=take("head.bias")),
-        norm_mean=header["norm_mean"],
-        norm_std=header["norm_std"],
-    )
-    if tensors:
-        raise FormatError(
-            f"{path}: unexpected extra tensors {sorted(tensors)} in MODL1 file"
-        )
-    expected_rows = weights.n_tokens
-    if embedding.positional.shape[0] != expected_rows:
-        raise ShapeError(
-            f"{path}: positional table has {embedding.positional.shape[0]} rows, "
-            f"clip length implies {expected_rows}"
-        )
-    return weights
 
 
 # --------------------------------------------------------------------------
@@ -395,61 +363,25 @@ def generate_synthetic_model(
 ) -> ModelWeights:
     """Seeded random weights at realistic scales.
 
-    Projection-style tensors are standard normal scaled by 1/sqrt(d), drawn
-    in the MODL1 tensor-table order from Philox(key=seed); LayerNorm gains
-    are 1 and all biases 0.
+    Walks the MODL1 layout in file order: LayerNorm gains are 1, biases 0,
+    and every other tensor is standard normal scaled by 1/sqrt(d), drawn in
+    that order from Philox(key=seed).
     """
     spec_config = spec_config or SpectrogramConfig()
-    patch_config = PatchConfig(embed_dim=config.embed_dim)
-    d = config.embed_dim
-    hidden = config.hidden_dim
-    n_tokens = patch_count(config.clip_seconds, patch_config) + 1
+    patch_config = PatchConfig()
     rng = _rng(seed)
-    scale = 1.0 / np.sqrt(d)
-
-    def draw(*shape: int) -> np.ndarray:
-        return (rng.standard_normal(shape, dtype=np.float32) * np.float32(scale))
-
-    def ones(n: int) -> np.ndarray:
-        return np.ones(n, dtype=np.float32)
-
-    def zeros(n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.float32)
-
-    embedding = EmbeddingWeights(
-        projection=draw(patch_config.patch_values, d),
-        projection_bias=zeros(d),
-        positional=draw(n_tokens, d),
-        cls_token=draw(d),
-    )
-    blocks = [
-        BlockWeights(
-            ln1_gain=ones(d),
-            ln1_bias=zeros(d),
-            qkv=draw(d, 3 * d),
-            qkv_bias=zeros(3 * d),
-            proj=draw(d, d),
-            proj_bias=zeros(d),
-            ln2_gain=ones(d),
-            ln2_bias=zeros(d),
-            mlp_in=draw(d, hidden),
-            mlp_in_bias=zeros(hidden),
-            mlp_out=draw(hidden, d),
-            mlp_out_bias=zeros(d),
-        )
-        for _ in range(config.depth)
-    ]
-    return ModelWeights(
-        config=config,
-        spec_config=spec_config,
-        patch_config=patch_config,
-        embedding=embedding,
-        blocks=blocks,
-        final_ln_gain=ones(d),
-        final_ln_bias=zeros(d),
-        head=HeadWeights(linear=draw(d, config.n_classes), bias=zeros(config.n_classes)),
-        norm_mean=norm_mean,
-        norm_std=norm_std,
+    scale = np.float32(1.0 / np.sqrt(config.embed_dim))
+    tensors = {}
+    for name, shape in _layout(config, spec_config, patch_config).items():
+        if name.endswith("gain"):
+            tensors[name] = np.ones(shape, dtype=np.float32)
+        elif name.endswith("bias"):
+            tensors[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            tensors[name] = rng.standard_normal(shape, dtype=np.float32) * scale
+    return _assemble(
+        tensors, config=config, spec_config=spec_config, patch_config=patch_config,
+        norm_mean=norm_mean, norm_std=norm_std,
     )
 
 

@@ -3,10 +3,10 @@
 A 128 x F spectrogram is cut into 16x16 patches on a stride-10 grid (overlap
 6 on both axes), each patch is flattened row-major to length 256 and mapped
 through a linear projection to dimension d; positional embeddings and a
-leading [CLS] token complete the encoder input. With 128 mel bins the grid
-always has 12 frequency rows, so a t-second clip gives N = 12 time-patch
-columns per the ceil((100t - 16) / 10) law (valid-origin counting at the
-exact-fit boundary).
+leading [CLS] token complete the encoder input. With 128 mel bins at 100
+frames/s the grid has 12 frequency rows, so a t-second clip gives N = 12
+time-patch columns per the ceil((100t - 16) / 10) law (valid-origin counting
+at the exact-fit boundary).
 """
 
 from __future__ import annotations
@@ -16,20 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .features import Spectrogram, frames_for_duration
+from .features import Spectrogram, SpectrogramConfig, frames_for_duration
 
 
 @dataclass(frozen=True)
 class PatchConfig:
     patch_size: int = 16
     stride: int = 10
-    embed_dim: int = 192
 
     def __post_init__(self) -> None:
         if self.patch_size < 1 or self.stride < 1:
             raise ConfigError("patch_size and stride must be positive")
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim must be positive, got {self.embed_dim}")
 
     @property
     def overlap(self) -> int:
@@ -94,21 +91,27 @@ def _axis_patches(extent: int, cfg: PatchConfig) -> int:
     return (extent - cfg.patch_size) // cfg.stride + 1
 
 
-def patch_count(clip_seconds: float, cfg: PatchConfig | None = None) -> int:
-    """Token count N for a t-second clip at 100 frames/s.
+def patch_count(
+    clip_seconds: float,
+    cfg: PatchConfig | None = None,
+    spec: SpectrogramConfig | None = None,
+) -> int:
+    """Token count N for a t-second clip: the patch grid over ``spec``'s mel
+    bins and ceil(fps * t) frames.
 
-    Counts valid stride-10 patch origins over ceil(100t) frames and 128 mel
-    bins; for every whole-second t this equals 12 * ceil((100t - 16) / 10),
-    and a clip of exactly 16 frames still yields one time column.
+    At the default 128 mel bins and 100 frames/s this equals
+    12 * ceil((100t - 16) / 10) for every whole-second t, and a clip of
+    exactly 16 frames still yields one time column.
     """
     cfg = cfg or PatchConfig()
-    n_frames = frames_for_duration(clip_seconds)
+    spec = spec or SpectrogramConfig()
+    n_frames = frames_for_duration(clip_seconds, spec.frames_per_second)
     if n_frames < cfg.patch_size:
         raise ConfigError(
             f"clip of {clip_seconds} s ({n_frames} frames) is shorter than one "
             f"{cfg.patch_size}-frame patch"
         )
-    return 12 * _axis_patches(n_frames, cfg)
+    return patch_grid(spec.n_mels, n_frames, cfg).total
 
 
 def patch_grid(n_mels: int, n_frames: int, cfg: PatchConfig) -> PatchGrid:

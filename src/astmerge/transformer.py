@@ -122,7 +122,9 @@ class ModelWeights:
 
     @property
     def n_tokens(self) -> int:
-        return patch_count(self.config.clip_seconds, self.patch_config) + 1
+        return 1 + patch_count(  # + [CLS]
+            self.config.clip_seconds, self.patch_config, self.spec_config
+        )
 
 
 @dataclass

@@ -138,6 +138,28 @@ class TestBenchmark:
             assert ra.drop == rb.drop
             assert ra.final_token_count == rb.final_token_count
 
+    def test_measured_passes_round_robin_over_r(
+        self, tiny_model, tiny_dataset_dir, monkeypatch
+    ):
+        """Warm-up passes come first; the measured passes then cycle through
+        r, so a drift in machine speed is shared by every row."""
+        from astmerge import bench
+
+        _, manifest, _, _ = tiny_dataset_dir
+        calls = []
+        forward_all = bench._forward_all
+
+        def recorded(weights, specs, tome, *args):
+            calls.append(tome.r)
+            return forward_all(weights, specs, tome, *args)
+
+        monkeypatch.setattr(bench, "_forward_all", recorded)
+        cfg = BenchConfig(r_values=(4, 0, 2), batch_size=4, warmup_runs=2,
+                          measured_runs=3)
+        benchmark_throughput(tiny_model, manifest, cfg)
+        assert sorted(calls[:6]) == [0, 0, 2, 2, 4, 4]
+        assert calls[6:] == [0, 2, 4] * 3
+
     def test_sweep_without_r0_rejected(self, tiny_model, tiny_dataset_dir):
         _, manifest, _, _ = tiny_dataset_dir
         with pytest.raises(ConfigError, match="r = 0"):

@@ -7,8 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from astmerge import HeadWeights, ModelConfig, bench, generate_synthetic_model, save_model
+from astmerge import (
+    HeadWeights,
+    ModelConfig,
+    PatchConfig,
+    bench,
+    generate_synthetic_model,
+    load_model,
+    save_model,
+)
 from astmerge.cli import main
+from astmerge.model_io import _tensor_table
 
 # Every MODL1 header field, as (section, key); section None is the top level.
 MODL1_FIELDS = [
@@ -20,8 +29,17 @@ MODL1_FIELDS = [
         "n_mels", "frames_per_second", "window_length_ms", "hop_length_ms",
         "fft_size", "mel_fmin", "mel_fmax", "log_floor",
     )),
-    *(("patch", k) for k in ("patch_size", "stride", "embed_dim")),
+    *(("patch", k) for k in ("patch_size", "stride")),
     *((None, k) for k in ("model", "spectrogram", "patch", "norm_mean", "norm_std", "tensors")),
+]
+
+# (tensor name, axis) for every axis of every tensor of a depth-1 model.
+DEPTH1_TENSOR_AXES = [
+    (name, axis)
+    for name, t in _tensor_table(generate_synthetic_model(0, ModelConfig(
+        depth=1, embed_dim=16, n_heads=2, mlp_ratio=2.0, clip_seconds=0.16, n_classes=3,
+    )))
+    for axis in range(t.ndim)
 ]
 
 
@@ -121,6 +139,22 @@ class TestBenchCommand:
         assert code == 0
         assert "kd" in json.loads(capsys.readouterr().out)
         assert len(calls) == 1
+
+    def test_older_header_with_patch_embed_dim_runs(self, workspace, capsys):
+        """A header that still carries ``patch.embed_dim`` loads and runs; the
+        key is ignored, even where it disagrees with ``model.embed_dim``, and
+        a re-save drops it without touching the tensor payload."""
+        tmp, model, manifest, _ = workspace
+        old = edited_model(
+            model, tmp / "old.modl", lambda header: header["patch"].update(embed_dim=999)
+        )
+        weights = load_model(old)
+        assert weights.patch_config == PatchConfig()
+        save_model(tmp / "resaved.modl", weights)
+        assert (tmp / "resaved.modl").read_bytes() == model.read_bytes()
+        assert main([
+            "bench", "--model", str(old), "--manifest", str(manifest), "--r", "0",
+        ]) == 0
 
 
 class TestErrorReporting:
@@ -279,6 +313,56 @@ class TestErrorReporting:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name, axis", DEPTH1_TENSOR_AXES,
+                             ids=[f"{n}[{a}]" for n, a in DEPTH1_TENSOR_AXES])
+    def test_tensor_shape_off_by_one(self, workspace, capsys, name, axis):
+        """A tensor one row or column off the model's config exits 2 with
+        one shape line that names the tensor."""
+        tmp, model, manifest, _ = workspace
+        weights = load_model(model)
+        owner, _, field = name.rpartition(".")
+        holder = {"patch": weights.embedding, "block0": weights.blocks[0],
+                  "": weights, "head": weights.head}[owner]
+        shape = list(getattr(holder, field).shape)
+        shape[axis] += 1
+        setattr(holder, field, np.zeros(shape, dtype=np.float32))
+        bad = tmp / "bad_shape.modl"
+        save_model(bad, weights)
+        code = main([
+            "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:shape:") and len(err.splitlines()) == 1
+        assert repr(name) in err
+
+    def test_nan_spectrogram_is_format_error(self, workspace, capsys):
+        tmp, model, manifest, _ = workspace
+        spec = tmp / "data" / "specs" / "00003.spec"
+        data = spec.read_bytes()
+        spec.write_bytes(data[:13] + np.full((len(data) - 13) // 4, np.nan, "<f4").tobytes())
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+        assert "00003.spec" in err
+
+    def test_infinite_teacher_logit_is_format_error(self, workspace, capsys):
+        tmp, model, manifest, teacher = workspace
+        data = bytearray(teacher.read_bytes())
+        data[13 + 4 * 4 : 13 + 4 * 5] = np.float32(np.inf).tobytes()
+        teacher.write_bytes(bytes(data))
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest),
+            "--r", "0", "--teacher-logits", str(teacher),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+        assert "teacher.tlog" in err
 
     def test_ragged_multi_label_row_is_shape_error(self, tmp_path, capsys):
         model, data = tmp_path / "ml.modl", tmp_path / "ml"

@@ -1,6 +1,7 @@
 """MODL1/MANI1 round-trips, seeded generation, synthetic data, probe fit."""
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from astmerge import (
     DatasetManifest,
     FormatError,
     ModelConfig,
+    PatchConfig,
+    SpectrogramConfig,
     SyntheticDataConfig,
     ToMeConfig,
     fit_head_probe,
@@ -22,6 +25,7 @@ from astmerge import (
 from astmerge.errors import AlignmentError, ShapeError
 from astmerge.head import softmax
 from astmerge.model_io import (
+    _MODL1_HEADER,
     _tensor_table,
     class_templates,
     generate_synthetic_teacher_logits,
@@ -93,6 +97,16 @@ class TestModelFile:
             load_model(p)
 
 
+    def test_header_sections_are_the_config_fields(self):
+        sections = {"model": ModelConfig, "spectrogram": SpectrogramConfig,
+                    "patch": PatchConfig}
+        keys = []
+        for section, cls in sections.items():
+            assert list(_MODL1_HEADER[section]) == [f.name for f in fields(cls)]
+            keys += list(_MODL1_HEADER[section])
+        assert len(keys) == len(set(keys)), "a config field is spelled in two sections"
+
+
 class TestSyntheticModel:
     def test_same_seed_bit_identical(self):
         assert model_digest(generate_synthetic_model(0, TINY)) == model_digest(
@@ -116,6 +130,28 @@ class TestSyntheticModel:
         w = generate_synthetic_model(0, TINY)
         assert w.embedding.positional.shape[0] == 13
         assert w.n_tokens == 13
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SpectrogramConfig(n_mels=64),
+         SpectrogramConfig(frames_per_second=50, hop_length_ms=20.0)],
+        ids=["64-mels", "50-fps"],
+    )
+    def test_token_count_follows_spectrogram_config(self, spec, tmp_path):
+        """The positional table is sized from the model's own mel count and
+        frame rate, so the model runs a forward on its own clips."""
+        cfg = ModelConfig(depth=1, embed_dim=16, n_heads=2, mlp_ratio=2.0,
+                          clip_seconds=1.0, n_classes=3)
+        w = generate_synthetic_model(0, cfg, spec_config=spec)
+        nf = (spec.n_mels - 16) // 10 + 1
+        nt = (spec.frames_per_second - 16) // 10 + 1
+        assert w.n_tokens == w.embedding.positional.shape[0] == nf * nt + 1
+        save_model(tmp_path / "m.modl", w)
+        loaded = load_model(tmp_path / "m.modl")
+        specs = np.zeros((2, spec.n_mels, w.expected_frames), dtype=np.float32)
+        cls, counts = forward_spectrograms(loaded, specs, ToMeConfig(r=2))
+        assert cls.shape == (2, 16) and counts[0] == w.n_tokens
 
 
 class TestSyntheticDataset:

@@ -17,7 +17,7 @@ from astmerge.errors import ShapeError
 
 from oracles import naive_matmul
 
-CFG = PatchConfig(embed_dim=16)
+CFG = PatchConfig()
 
 
 def spec(values):
