@@ -4,15 +4,16 @@ A sweep row measures one reduction factor: the manifest is preloaded into
 memory, the timed region covers patchify + encoder + head over the whole
 set (every r's warmup passes first, then the measured passes round-robin
 over r, median per r reported), and the metric drop is taken against the
-r = 0 row. Everything except wall-clock timings is bit-reproducible for fixed inputs; batch composition is fixed by
-batch size alone, so worker threads change timings but never results.
+r = 0 row. Everything except wall-clock timings is bit-reproducible for
+fixed inputs. ``threads`` sizes the encoder's one sample pool, which has
+max(threads, BLAS pool size) workers while BLAS runs one thread inside the
+forward; worker and BLAS thread counts change timings but never results.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import median
@@ -120,25 +121,12 @@ def _forward_all(
     batch_size: int,
     threads: int,
 ) -> tuple[np.ndarray, list[int]]:
-    """forward_spectrograms with optional batch-level thread parallelism.
+    """The one encoder pass of run_inference and of each sweep pass.
 
-    Batch boundaries depend only on batch_size, so results are identical
-    for every thread count; workers just process disjoint batches.
+    perfbench/tracing.py times it by this name; ``threads`` sizes the
+    encoder's sample pool.
     """
-    n = specs.shape[0]
-    if threads <= 1 or n <= batch_size:
-        return forward_spectrograms(weights, specs, tome, batch_size)
-    starts = list(range(0, n, batch_size))
-
-    def run(start: int) -> tuple[np.ndarray, list[int]]:
-        return forward_spectrograms(
-            weights, specs[start : start + batch_size], tome, batch_size
-        )
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, starts))
-    cls = np.concatenate([p[0] for p in parts], axis=0)
-    return cls, parts[0][1]
+    return forward_spectrograms(weights, specs, tome, batch_size, threads)
 
 
 def _predict(

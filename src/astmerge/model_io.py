@@ -225,6 +225,8 @@ def load_model(path: str | Path) -> ModelWeights:
     for name, shape in declared.items():
         count = math.prod(shape)
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name!r} holds NaN or infinite values")
         tensors[name] = arr.reshape(shape).copy()
         offset += 4 * count
     return _assemble(
@@ -305,7 +307,10 @@ def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: manifest is not UTF-8 text: {e}") from e
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty manifest")

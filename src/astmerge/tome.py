@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .pool import SamplePool
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ def merge_capacity(n_tokens: int, protect_cls: bool) -> int:
 
 
 def merge_step(
-    tokens: np.ndarray, sizes: np.ndarray, keys: np.ndarray, cfg: ToMeConfig
+    tokens: np.ndarray, sizes: np.ndarray, keys: np.ndarray, cfg: ToMeConfig,
+    pool: SamplePool | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """One partition/score/select/merge pass over [B x n x d] tokens.
 
@@ -68,21 +70,25 @@ def merge_step(
 
     # Cosine similarity in float64 so edge ranking is stable against float32
     # round-off; zero-norm keys score the sentinel -1 behind every real match.
-    # One sample at a time: the float64 working set stays cache-sized and no
-    # batch-sized temporary is made.
+    # One sample at a time, split over the workers of ``pool``: the float64
+    # working set stays cache-sized and no batch-sized temporary is made.
     n_a = len(range(a0, n, 2))
     best_b = np.empty((b, n_a), dtype=np.intp)
     best_sim = np.empty((b, n_a))
-    for i in range(b):
-        k64 = keys[i].astype(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", k64, k64))
-        zero = norms == 0.0
-        norms[zero] = 1.0
-        sim = (k64[a0::2] / norms[a0::2, None]) @ (k64[b0::2] / norms[b0::2, None]).T
-        sim[zero[a0::2]] = -1.0
-        sim[:, zero[b0::2]] = -1.0
-        best_b[i] = sim.argmax(axis=1)  # first max: lowest B position on ties
-        best_sim[i] = sim[np.arange(n_a), best_b[i]]
+
+    def score(_: int, lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            k64 = keys[i].astype(np.float64)
+            norms = np.sqrt(np.einsum("ij,ij->i", k64, k64))
+            zero = norms == 0.0
+            norms[zero] = 1.0
+            sim = (k64[a0::2] / norms[a0::2, None]) @ (k64[b0::2] / norms[b0::2, None]).T
+            sim[zero[a0::2]] = -1.0
+            sim[:, zero[b0::2]] = -1.0
+            best_b[i] = sim.argmax(axis=1)  # first max: lowest B position on ties
+            best_sim[i] = sim[np.arange(n_a), best_b[i]]
+
+    (pool or SamplePool()).split(score, b)
     order = np.argsort(-best_sim, axis=1, kind="stable")[:, :r]  # lower A first
     src = 2 * order + a0
     dst = 2 * np.take_along_axis(best_b, order, axis=1) + b0

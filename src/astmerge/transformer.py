@@ -32,6 +32,7 @@ from .patchify import (
     extract_patches,
     patch_count,
 )
+from .pool import SamplePool, sample_pool
 from .tome import ToMeConfig, merge_capacity, merge_step
 
 LN_EPS = 1e-5
@@ -176,13 +177,14 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def attention_batch(
-    x: np.ndarray, sizes: np.ndarray, w: BlockWeights, n_heads: int
+    x: np.ndarray, sizes: np.ndarray, w: BlockWeights, n_heads: int,
+    pool: SamplePool | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual attention sub-layer on a [B x n x d] batch; also returns the
-    head-averaged keys [B x n x head_dim] the merge step scores on. Samples
-    run one at a time through reused [n x d], [n x 3d] and [n x n] buffers,
-    so one sample's working set stays cache-hot and no batch-sized
-    temporary is made."""
+    head-averaged keys [B x n x head_dim] the merge step scores on. Each
+    worker of ``pool`` runs its samples one at a time through its own
+    [n x d], [n x 3d] and [n x n] buffers, so one sample's working set stays
+    cache-hot and no batch-sized temporary is made."""
     b, n, d = x.shape
     if d % n_heads != 0:
         raise ShapeError(f"embed dim {d} not divisible by {n_heads} heads")
@@ -190,83 +192,97 @@ def attention_batch(
     proportional = bool(np.any(sizes != 1.0))
     if proportional:
         size_offset = np.log(sizes).astype(np.float32)  # [b, n]
-    h = np.empty((n, d), dtype=np.float32)
-    qkv = np.empty((n, 3 * d), dtype=np.float32)
-    attn = np.empty((n, n), dtype=np.float32)
-    ctx = np.empty((n, d), dtype=np.float32)
     out = np.empty((b, n, d), dtype=np.float32)
     keys = np.zeros((b, n, dh), dtype=np.float32)
-    for i in range(b):
-        layer_norm(x[i], w.ln1_gain, w.ln1_bias, out=h)
-        np.matmul(h, w.qkv, out=qkv)
-        qkv += w.qkv_bias
-        qkv[:, :d] *= np.float32(1.0 / math.sqrt(dh))  # fold the q scale in
-        # Heads stay as strided views into qkv; BLAS handles the strides.
-        for j in range(n_heads):
-            cols = slice(j * dh, (j + 1) * dh)
-            q, k, v = qkv[:, cols], qkv[:, d:][:, cols], qkv[:, 2 * d :][:, cols]
-            np.matmul(q, k.T, out=attn)
-            if proportional:
-                attn += size_offset[i]
-            # softmax with the normalization folded into ctx: divide the
-            # [n x dh] output instead of the [n x n] weights
-            attn -= attn.max(axis=-1, keepdims=True)
-            np.exp(attn, out=attn)
-            den = attn.sum(axis=-1, keepdims=True)
-            np.matmul(attn, v, out=ctx[:, cols])
-            ctx[:, cols] /= den
-            keys[i] += k  # from zero, in head order: the bits of a mean
-        np.matmul(ctx, w.proj, out=out[i])
-        out[i] += w.proj_bias
-        out[i] += x[i]
-    keys /= np.float32(n_heads)
+    pool = pool or SamplePool()
+
+    def run(worker: int, lo: int, hi: int) -> None:
+        h = pool.scratch(worker, "h", (n, d))
+        qkv = pool.scratch(worker, "qkv", (n, 3 * d))
+        attn = pool.scratch(worker, "attn", (n, n))
+        ctx = pool.scratch(worker, "ctx", (n, d))
+        for i in range(lo, hi):
+            layer_norm(x[i], w.ln1_gain, w.ln1_bias, out=h)
+            np.matmul(h, w.qkv, out=qkv)
+            qkv += w.qkv_bias
+            qkv[:, :d] *= np.float32(1.0 / math.sqrt(dh))  # fold the q scale in
+            # Heads stay as strided views into qkv; BLAS handles the strides.
+            for j in range(n_heads):
+                cols = slice(j * dh, (j + 1) * dh)
+                q, k, v = qkv[:, cols], qkv[:, d:][:, cols], qkv[:, 2 * d :][:, cols]
+                np.matmul(q, k.T, out=attn)
+                if proportional:
+                    attn += size_offset[i]
+                # softmax with the normalization folded into ctx: divide the
+                # [n x dh] output instead of the [n x n] weights
+                attn -= attn.max(axis=-1, keepdims=True)
+                np.exp(attn, out=attn)
+                den = attn.sum(axis=-1, keepdims=True)
+                np.matmul(attn, v, out=ctx[:, cols])
+                ctx[:, cols] /= den
+                keys[i] += k  # from zero, in head order: the bits of a mean
+            keys[i] /= np.float32(n_heads)
+            np.matmul(ctx, w.proj, out=out[i])
+            out[i] += w.proj_bias
+            out[i] += x[i]
+
+    pool.split(run, b)
     return out, keys
 
 
 _MLP_ROWS = 256  # rows per slab; one slab's LN and hidden buffers stay in L2
 
 
-def mlp_batch(x: np.ndarray, w: BlockWeights) -> np.ndarray:
-    """Residual MLP sub-layer x + W2 gelu(W1 ln2(x)), run over row slabs in
-    reused LayerNorm and hidden buffers; every matmul writes in place."""
+def mlp_batch(x: np.ndarray, w: BlockWeights, pool: SamplePool | None = None) -> np.ndarray:
+    """Residual MLP sub-layer x + W2 gelu(W1 ln2(x)), run over row slabs;
+    each worker of ``pool`` takes a contiguous range of slabs and its own
+    LayerNorm and hidden buffers; every matmul writes in place."""
     b, n, d = x.shape
     flat = x.reshape(b * n, d)
     out = np.empty_like(flat)
     rows = min(_MLP_ROWS, flat.shape[0])
-    h = np.empty((rows, d), dtype=np.float32)
-    hidden = np.empty((rows, w.mlp_in.shape[1]), dtype=np.float32)
-    for start in range(0, flat.shape[0], _MLP_ROWS):
-        chunk, dst = flat[start : start + rows], out[start : start + rows]
-        m = chunk.shape[0]
-        layer_norm(chunk, w.ln2_gain, w.ln2_bias, out=h[:m])
-        np.matmul(h[:m], w.mlp_in, out=hidden[:m])
-        hidden[:m] += w.mlp_in_bias
-        np.matmul(gelu(hidden[:m]), w.mlp_out, out=dst)
-        dst += w.mlp_out_bias
-        dst += chunk
+    pool = pool or SamplePool()
+
+    def run(worker: int, lo: int, hi: int) -> None:
+        h = pool.scratch(worker, "ln2", (rows, d))
+        hidden = pool.scratch(worker, "hidden", (rows, w.mlp_in.shape[1]))
+        for start in range(lo * _MLP_ROWS, hi * _MLP_ROWS, _MLP_ROWS):
+            chunk, dst = flat[start : start + rows], out[start : start + rows]
+            m = chunk.shape[0]
+            layer_norm(chunk, w.ln2_gain, w.ln2_bias, out=h[:m])
+            np.matmul(h[:m], w.mlp_in, out=hidden[:m])
+            hidden[:m] += w.mlp_in_bias
+            np.matmul(gelu(hidden[:m]), w.mlp_out, out=dst)
+            dst += w.mlp_out_bias
+            dst += chunk
+
+    pool.split(run, -(-flat.shape[0] // _MLP_ROWS))
     return out.reshape(b, n, d)
 
 
 def _merge_batch(
-    tokens: np.ndarray, sizes: np.ndarray, keys: np.ndarray, cfg: ToMeConfig
+    tokens: np.ndarray, sizes: np.ndarray, keys: np.ndarray, cfg: ToMeConfig,
+    pool: SamplePool | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The encoder's merge call: merge_step without its edges.
 
     perfbench/tracing.py times and counts merges by this name, reading the
     (tokens, sizes, keys, cfg) arguments and the merged tokens.
     """
-    tokens, sizes, _ = merge_step(tokens, sizes, keys, cfg)
+    tokens, sizes, _ = merge_step(tokens, sizes, keys, cfg, pool=pool)
     return tokens, sizes
 
 
 def encoder_forward_batch(
     tokens: np.ndarray, sizes: np.ndarray, weights: ModelWeights,
-    tome: ToMeConfig | None, collect_trace: bool = False,
+    tome: ToMeConfig | None, collect_trace: bool = False, threads: int = 1,
 ) -> tuple[np.ndarray, list[int], list[MergeTraceEntry]]:
     """Run all blocks plus the final LayerNorm on a [B x n x d] batch.
 
     ``tome=None`` compiles the merge call sites out entirely; ``tome.r == 0``
-    leaves them in as strict no-ops. Returns ([B x n_final x d] final
+    leaves them in as strict no-ops. The blocks run on a ``sample_pool``
+    of ``threads`` workers or the BLAS pool size, whichever is larger; the
+    bits do not depend on either. Returns ([B x n_final x d] final
     LayerNormed tokens, CLS first; token counts entering each block plus the
     final count; optional merge trace).
     """
@@ -275,27 +291,28 @@ def encoder_forward_batch(
     sizes = np.ascontiguousarray(sizes, dtype=np.float32)
     counts = [tokens.shape[1]]
     trace: list[MergeTraceEntry] = []
-    for bi, bw in enumerate(cfg_blocks(weights)):
-        tokens, keys = attention_batch(tokens, sizes, bw, cfg.n_heads)
-        if tome is not None:
-            if collect_trace:
-                before_mass = float(sizes.sum(dtype=np.float64))
-                before_centroid = np.einsum(
-                    "bn,bnd->d", sizes.astype(np.float64), tokens.astype(np.float64)
-                )
-            tokens, sizes = _merge_batch(tokens, sizes, keys, tome)
-            if collect_trace:
-                trace.append(MergeTraceEntry(
-                    block=bi,
-                    size_sum_before=before_mass,
-                    size_sum_after=float(sizes.sum(dtype=np.float64)),
-                    centroid_before=before_centroid,
-                    centroid_after=np.einsum(
+    with sample_pool(threads) as pool:
+        for bi, bw in enumerate(cfg_blocks(weights)):
+            tokens, keys = attention_batch(tokens, sizes, bw, cfg.n_heads, pool=pool)
+            if tome is not None:
+                if collect_trace:
+                    before_mass = float(sizes.sum(dtype=np.float64))
+                    before_centroid = np.einsum(
                         "bn,bnd->d", sizes.astype(np.float64), tokens.astype(np.float64)
-                    ),
-                ))
-        tokens = mlp_batch(tokens, bw)
-        counts.append(tokens.shape[1])
+                    )
+                tokens, sizes = _merge_batch(tokens, sizes, keys, tome, pool=pool)
+                if collect_trace:
+                    trace.append(MergeTraceEntry(
+                        block=bi,
+                        size_sum_before=before_mass,
+                        size_sum_after=float(sizes.sum(dtype=np.float64)),
+                        centroid_before=before_centroid,
+                        centroid_after=np.einsum(
+                            "bn,bnd->d", sizes.astype(np.float64), tokens.astype(np.float64)
+                        ),
+                    ))
+            tokens = mlp_batch(tokens, bw, pool=pool)
+            counts.append(tokens.shape[1])
     final = layer_norm(tokens, weights.final_ln_gain, weights.final_ln_bias)
     return final, counts, trace
 
@@ -342,6 +359,7 @@ def forward_spectrograms(
     spectrograms: np.ndarray,
     tome: ToMeConfig | None,
     batch_size: int = 16,
+    threads: int = 1,
 ) -> tuple[np.ndarray, list[int]]:
     """Normalize, patchify and encode a [n_samples x mels x frames] stack.
 
@@ -361,7 +379,9 @@ def forward_spectrograms(
         seqs = [tokens_from_spectrogram(v, weights) for v in chunk]
         tokens = np.stack([s.tokens for s in seqs])
         sizes = np.stack([s.sizes for s in seqs])
-        final, counts, _ = encoder_forward_batch(tokens, sizes, weights, tome)
+        final, counts, _ = encoder_forward_batch(
+            tokens, sizes, weights, tome, threads=threads
+        )
         cls_rows.append(final[:, 0, :])
     if not cls_rows:
         return np.zeros((0, weights.config.embed_dim), dtype=np.float32), []

@@ -364,6 +364,34 @@ class TestErrorReporting:
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
         assert "teacher.tlog" in err
 
+    def test_non_finite_model_weight_is_format_error(self, workspace, capsys):
+        """A MODL1 tensor holding a NaN and an infinity fails closed instead
+        of running to a metric."""
+        tmp, model, manifest, _ = workspace
+        weights = load_model(model)
+        weights.blocks[0].qkv[0, 0] = np.nan
+        weights.blocks[0].qkv[1, 2] = np.inf
+        bad = tmp / "nan.modl"
+        save_model(bad, weights)
+        code = main([
+            "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+        assert "'block0.qkv'" in err
+
+    def test_undecodable_manifest_is_format_error(self, workspace, capsys):
+        tmp, model, manifest, _ = workspace
+        manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+        assert "manifest.jsonl" in err
+
     def test_ragged_multi_label_row_is_shape_error(self, tmp_path, capsys):
         model, data = tmp_path / "ml.modl", tmp_path / "ml"
         common = ["--seed", "0", "--classes", "3", "--clip-seconds", "0.16", "--task", "multi-label"]
