@@ -57,7 +57,6 @@ from .patchify import (
     EmbeddingWeights,
     PatchConfig,
     PatchGrid,
-    TokenSequence,
     add_positional_and_cls,
     embed_patches,
     extract_patches,
@@ -66,11 +65,9 @@ from .patchify import (
 from .tome import ToMeConfig, merge_step
 from .transformer import (
     BlockWeights,
-    EncoderOutput,
     ModelConfig,
     ModelWeights,
     count_trajectory,
-    encoder_forward,
 )
 
 __version__ = "0.1.0"

@@ -95,8 +95,9 @@ def load_inputs(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
     """Read every manifest entry into one [n x mels x frames] array.
 
     WAV entries go through the log-mel front end with the model's
-    spectrogram config; SPEC1 entries are used as-is. Shorter clips are
-    zero-padded to the model's frame count, longer ones rejected.
+    spectrogram config; SPEC1 entries are used as-is. Every clip must have
+    the model's mel count; shorter clips are zero-padded to the model's frame
+    count, longer ones rejected.
     """
     base = manifest.base_dir or Path(".")
     arrays = []
@@ -108,6 +109,11 @@ def load_inputs(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
             values = compute_log_mel(read_wav(path), weights.spec_config).values
         else:
             values = load_spec(path).values
+        if values.shape[0] != weights.spec_config.n_mels:
+            raise ShapeError(
+                f"{path}: clip has {values.shape[0]} mel bins, the model expects "
+                f"{weights.spec_config.n_mels}"
+            )
         arrays.append(fit_frames(values.astype(np.float32), weights.expected_frames))
     if not arrays:
         raise ConfigError("manifest lists no samples")

@@ -207,12 +207,14 @@ def read_wav(path: str | Path) -> Waveform:
                 raise FormatError(
                     f"{path}: expected 16-bit PCM WAV, got {8 * f.getsampwidth()}-bit"
                 )
-            sr = f.getframerate()
-            raw = f.readframes(f.getnframes())
+            sr, n_frames = f.getframerate(), f.getnframes()
+            raw = f.readframes(n_frames)
     except (wave.Error, EOFError) as e:  # not RIFF/WAVE, or a truncated header
         raise FormatError(f"{path}: unreadable WAV file: {e or 'truncated header'}") from e
-    if len(raw) % 2:
-        raise FormatError(f"{path}: WAV data ends inside a sample")
+    if len(raw) != 2 * n_frames:
+        raise FormatError(
+            f"{path}: WAV header declares {n_frames} samples, data holds {len(raw) / 2:g}"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate=sr)
 
@@ -271,12 +273,13 @@ def load_spec(path: str | Path) -> Spectrogram:
 
 
 def fit_frames(values: np.ndarray, expected_frames: int) -> np.ndarray:
-    """Zero-pad a spectrogram in time to the model's frame count.
+    """Zero-pad a spectrogram, or a stack of them, in time (the last axis)
+    to the model's frame count.
 
     Longer clips are rejected: positional tables are sized for one declared
     clip length and interpolation is out of scope.
     """
-    n_frames = values.shape[1]
+    n_frames = values.shape[-1]
     if n_frames > expected_frames:
         raise ShapeError(
             f"clip has {n_frames} frames but the model expects at most "
@@ -284,6 +287,6 @@ def fit_frames(values: np.ndarray, expected_frames: int) -> np.ndarray:
         )
     if n_frames == expected_frames:
         return values
-    out = np.zeros((values.shape[0], expected_frames), dtype=np.float32)
-    out[:, :n_frames] = values
+    out = np.zeros((*values.shape[:-1], expected_frames), dtype=np.float32)
+    out[..., :n_frames] = values
     return out

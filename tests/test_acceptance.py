@@ -19,10 +19,8 @@ from astmerge import (
     Spectrogram,
     SyntheticDataConfig,
     ToMeConfig,
-    TokenSequence,
     benchmark_throughput,
     count_trajectory,
-    encoder_forward,
     fit_head_probe,
     generate_synthetic_dataset,
     generate_synthetic_model,
@@ -41,7 +39,7 @@ from astmerge import (
     merge_step,
 )
 from astmerge.head import average_precision, softmax
-from astmerge.transformer import forward_spectrograms
+from astmerge.transformer import encoder_forward_batch, forward_spectrograms, layer_norm
 
 from oracles import brute_force_merge, central_difference_grad, map_reference
 
@@ -68,10 +66,16 @@ def desk_dataset():
 
 
 def random_sequence(rng, n, d):
-    return TokenSequence(
-        tokens=rng.standard_normal((n, d)).astype(np.float32),
-        sizes=np.ones(n, dtype=np.float32),
+    """(tokens [1 x n x d], sizes [1 x n]): one random sequence as a batch."""
+    return (
+        rng.standard_normal((1, n, d)).astype(np.float32),
+        np.ones((1, n), dtype=np.float32),
     )
+
+
+def cls_embedding(final, weights):
+    """The final-LayerNormed [CLS] row of a batch of one."""
+    return layer_norm(final[0, 0], weights.final_ln_gain, weights.final_ln_bias)
 
 
 def test_c01_patch_count_law():
@@ -82,12 +86,12 @@ def test_c01_patch_count_law():
 def test_c02_token_reduction_law(desk_model):
     rng = np.random.default_rng(2)
     ts = random_sequence(rng, 589, 192)
-    out = encoder_forward(ts, desk_model, ToMeConfig(r=40))
+    _, counts, _ = encoder_forward_batch(*ts, desk_model, ToMeConfig(r=40))
     expected = list(range(589, 109 - 1, -40))
-    ok = out.final_token_count == 109 and out.per_block_counts == expected
+    ok = counts[-1] == 109 and counts == expected
     report(
         "C2 token-reduction law", ok,
-        f"final={out.final_token_count} counts={out.per_block_counts}",
+        f"final={counts[-1]} counts={counts}",
     )
 
 
@@ -101,9 +105,11 @@ def test_c03_r0_noop_bitwise():
     mismatches = 0
     for _ in range(20):
         ts = random_sequence(rng, 109, 48)
-        with_tome = encoder_forward(ts, weights, ToMeConfig(r=0))
-        without = encoder_forward(ts, weights, None)
-        if not np.array_equal(with_tome.cls_embedding, without.cls_embedding):
+        with_tome, _, _ = encoder_forward_batch(*ts, weights, ToMeConfig(r=0))
+        without, _, _ = encoder_forward_batch(*ts, weights, None)
+        if not np.array_equal(
+            cls_embedding(with_tome, weights), cls_embedding(without, weights)
+        ):
             mismatches += 1
     report("C3 r=0 no-op (bitwise)", mismatches == 0, f"mismatches={mismatches}/20")
 
@@ -152,16 +158,18 @@ def test_c05_merged_duplicate_equivalence():
         n = 9
         tokens = rng.standard_normal((n, 24)).astype(np.float32)
         tokens[3] = tokens[6]  # copies split across the two partition sides
-        dup = TokenSequence(tokens=tokens.copy(), sizes=np.ones(n, np.float32))
-        merged = encoder_forward(dup, weights, ToMeConfig(r=1))
+        merged, _, _ = encoder_forward_batch(
+            tokens[None].copy(), np.ones((1, n), np.float32), weights, ToMeConfig(r=1)
+        )
         keep = [i for i in range(n) if i != 3]
         sizes = np.ones(n - 1, np.float32)
         sizes[keep.index(6)] = 2.0
-        direct = TokenSequence(tokens=tokens[keep].copy(), sizes=sizes)
-        out2 = encoder_forward(direct, weights, ToMeConfig(r=0))
-        worst = max(
-            worst, float(np.max(np.abs(merged.cls_embedding - out2.cls_embedding)))
+        out2, _, _ = encoder_forward_batch(
+            tokens[keep][None].copy(), sizes[None], weights, ToMeConfig(r=0)
         )
+        worst = max(worst, float(np.max(np.abs(
+            cls_embedding(merged, weights) - cls_embedding(out2, weights)
+        ))))
     report("C5 merged-duplicate equivalence", worst < 1e-5, f"worst |diff|={worst:.2e}")
 
 
@@ -175,9 +183,11 @@ def test_c06_conservation_through_forward():
     worst_rel = 0.0
     for r in (5, 20, 40):
         ts = random_sequence(rng, 589, 64)
-        out = encoder_forward(ts, weights, ToMeConfig(r=r), collect_trace=True)
-        assert len(out.merge_trace) == 12
-        for entry in out.merge_trace:
+        _, _, trace = encoder_forward_batch(
+            *ts, weights, ToMeConfig(r=r), collect_trace=True
+        )
+        assert len(trace) == 12
+        for entry in trace:
             assert entry.size_sum_before == entry.size_sum_after == 589.0, (
                 r, entry.block, entry.size_sum_before, entry.size_sum_after,
             )

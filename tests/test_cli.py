@@ -413,8 +413,11 @@ class TestErrorReporting:
         assert err.startswith("error:shape:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "cut", [lambda b: b"JUNK" + b[4:], lambda b: b[:20], lambda b: b[:-1], lambda b: b""],
-        ids=["not-riff", "truncated-header", "truncated-data", "empty"],
+        "cut", [
+            lambda b: b"JUNK" + b[4:], lambda b: b[:20], lambda b: b[:-1], lambda b: b"",
+            lambda b: b[: 44 + 2 * 500],  # header declares 2560 samples, data holds 500
+        ],
+        ids=["not-riff", "truncated-header", "truncated-data", "empty", "data-short-of-header"],
     )
     def test_corrupt_wav_is_format_error(self, workspace, capsys, cut):
         from astmerge.features import Waveform, write_wav
@@ -436,6 +439,29 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
         assert "bad.wav" in err
+
+    @pytest.mark.parametrize("paths", [["00000.spec", "narrow.spec"], ["narrow.spec"]],
+                             ids=["mixed-mel-counts", "only-wrong-mel-count"])
+    def test_wrong_mel_count_is_shape_error(self, workspace, capsys, paths):
+        """A 64-mel clip for a 128-mel model names its file, whether or not
+        the manifest also holds a clip of the right size."""
+        from astmerge import Spectrogram, save_spec
+
+        tmp, model, _, _ = workspace
+        specs = tmp / "data" / "specs"
+        save_spec(specs / "narrow.spec", Spectrogram(values=np.zeros((64, 16), np.float32)))
+        manifest = tmp / "mels_manifest.jsonl"
+        manifest.write_text("\n".join(json.dumps(row) for row in [
+            {"magic": "MANI1", "task_kind": "single-label", "clip_seconds": 0.16},
+            *({"path": f"data/specs/{p}", "label": 0} for p in paths),
+        ]) + "\n")
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:shape:") and len(err.splitlines()) == 1
+        assert "narrow.spec" in err
 
     def test_directory_as_model_is_io_error(self, workspace, capsys):
         tmp, _, manifest, _ = workspace

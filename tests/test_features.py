@@ -28,6 +28,7 @@ from astmerge.errors import ShapeError
 from astmerge.transformer import (
     encoder_forward_batch,
     forward_spectrograms,
+    layer_norm,
     tokens_from_spectrogram,
 )
 
@@ -137,9 +138,10 @@ class TestNormalize:
     def test_identity_parameters(self, tiny_model):
         s = compute_log_mel(sine(500, 0.16), CFG)
         model = replace(tiny_model, norm_mean=0.0, norm_std=1.0)
-        ts = tokens_from_spectrogram(s.values, model)
-        final, _, _ = encoder_forward_batch(ts.tokens[None], ts.sizes[None], model, None)
-        np.testing.assert_array_equal(self.encode(model, s.values[None]), final[:, 0])
+        tokens, sizes = tokens_from_spectrogram(s.values[None], model)
+        final, _, _ = encoder_forward_batch(tokens, sizes, model, None)
+        cls = layer_norm(final[:, 0], model.final_ln_gain, model.final_ln_bias)
+        np.testing.assert_array_equal(self.encode(model, s.values[None]), cls)
 
     def test_constant_goes_to_zero(self, tiny_model):
         shifted = replace(tiny_model, norm_mean=3.25, norm_std=2.0)

@@ -7,7 +7,6 @@ from astmerge import (
     ConfigError,
     EmbeddingWeights,
     PatchConfig,
-    Spectrogram,
     add_positional_and_cls,
     embed_patches,
     extract_patches,
@@ -21,7 +20,8 @@ CFG = PatchConfig()
 
 
 def spec(values):
-    return Spectrogram(values=np.asarray(values, dtype=np.float32))
+    """A batch of one [mels x frames] spectrogram."""
+    return np.asarray(values, dtype=np.float32)[None]
 
 
 class TestPatchCount:
@@ -43,7 +43,7 @@ class TestPatchCount:
     def test_formula_matches_extraction(self, t):
         values = np.zeros((128, 100 * t), dtype=np.float32)
         patches, grid = extract_patches(spec(values), CFG)
-        assert patch_count(float(t)) == grid.total == patches.shape[0]
+        assert patch_count(float(t)) == grid.total == patches.shape[1]
 
 
 class TestExtractPatches:
@@ -51,12 +51,12 @@ class TestExtractPatches:
         rng = np.random.default_rng(0)
         patches, grid = extract_patches(spec(rng.standard_normal((128, 500))), CFG)
         assert (grid.n_freq_patches, grid.n_time_patches) == (12, 49)
-        assert patches.shape == (588, 256)
+        assert patches.shape == (1, 588, 256)
 
     def test_single_time_column(self):
         patches, grid = extract_patches(spec(np.zeros((128, 16))), CFG)
         assert (grid.n_freq_patches, grid.n_time_patches) == (12, 1)
-        assert patches.shape == (12, 256)
+        assert patches.shape == (1, 12, 256)
 
     def test_constant_input_gives_constant_patches(self):
         patches, _ = extract_patches(spec(np.full((128, 26), 2.5)), CFG)
@@ -76,10 +76,10 @@ class TestExtractPatches:
         patches, grid = extract_patches(spec(mel + frame), CFG)
         for p_idx in [0, 1, 11, 12, 25, grid.total - 1]:
             j, i = divmod(p_idx, grid.n_freq_patches)
-            top_left = patches[p_idx][0]
+            top_left = patches[0, p_idx][0]
             assert top_left == 10 * i * 1000.0 + 10 * j
             # row-major flattening: entry 16 starts the second mel row
-            assert patches[p_idx][16] == (10 * i + 1) * 1000.0 + 10 * j
+            assert patches[0, p_idx][16] == (10 * i + 1) * 1000.0 + 10 * j
 
     def test_too_small_rejected(self):
         with pytest.raises(ShapeError):
@@ -99,7 +99,7 @@ class TestEmbedPatches:
     def test_zero_patches_zero_bias(self):
         w = self.weights()
         w.projection_bias = np.zeros(16, dtype=np.float32)
-        out = embed_patches(np.zeros((5, 256), dtype=np.float32), w)
+        out = embed_patches(np.zeros((2, 5, 256), dtype=np.float32), w)
         assert np.all(out == 0.0)
 
     def test_selector_projection_copies_entries(self):
@@ -109,21 +109,21 @@ class TestEmbedPatches:
         w.projection = proj
         w.projection_bias = np.zeros(16, dtype=np.float32)
         rng = np.random.default_rng(3)
-        patches = rng.standard_normal((7, 256)).astype(np.float32)
-        np.testing.assert_array_equal(embed_patches(patches, w), patches[:, :16])
+        patches = rng.standard_normal((2, 7, 256)).astype(np.float32)
+        np.testing.assert_array_equal(embed_patches(patches, w), patches[..., :16])
 
     def test_matches_triple_loop_matmul(self):
         # 0.1-scale values keep float32 round-off inside the 1e-6 budget
         rng = np.random.default_rng(4)
         w = self.weights()
         w.projection = (0.1 * rng.standard_normal((256, 16))).astype(np.float32)
-        patches = (0.1 * rng.standard_normal((6, 256))).astype(np.float32)
-        ref = naive_matmul(patches, w.projection) + w.projection_bias
+        patches = (0.1 * rng.standard_normal((2, 6, 256))).astype(np.float32)
+        ref = [naive_matmul(p, w.projection) + w.projection_bias for p in patches]
         np.testing.assert_allclose(embed_patches(patches, w), ref, atol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            embed_patches(np.zeros((3, 100), dtype=np.float32), self.weights())
+            embed_patches(np.zeros((1, 3, 100), dtype=np.float32), self.weights())
 
 
 class TestAddPositionalAndCls:
@@ -134,10 +134,10 @@ class TestAddPositionalAndCls:
             positional=np.zeros((3, 4), np.float32),
             cls_token=np.zeros(4, np.float32),
         )
-        ts = add_positional_and_cls(np.zeros((2, 4), np.float32), w)
-        assert ts.n_tokens == 3
-        assert np.all(ts.tokens == 0.0)
-        np.testing.assert_array_equal(ts.sizes, [1.0, 1.0, 1.0])
+        tokens, sizes = add_positional_and_cls(np.zeros((1, 2, 4), np.float32), w)
+        assert tokens.shape[1] == 3
+        assert np.all(tokens == 0.0)
+        np.testing.assert_array_equal(sizes, [[1.0, 1.0, 1.0]])
 
     def test_zero_input_yields_positional_rows(self):
         rng = np.random.default_rng(5)
@@ -148,8 +148,8 @@ class TestAddPositionalAndCls:
             positional=pos,
             cls_token=np.zeros(6, np.float32),
         )
-        ts = add_positional_and_cls(np.zeros((3, 6), np.float32), w)
-        np.testing.assert_array_equal(ts.tokens, pos)
+        tokens, _ = add_positional_and_cls(np.zeros((2, 3, 6), np.float32), w)
+        np.testing.assert_array_equal(tokens, [pos, pos])
 
     def test_token_count_for_5s_model(self):
         rng = np.random.default_rng(6)
@@ -160,11 +160,11 @@ class TestAddPositionalAndCls:
             positional=rng.standard_normal((n + 1, 8)).astype(np.float32),
             cls_token=rng.standard_normal(8).astype(np.float32),
         )
-        ts = add_positional_and_cls(
-            rng.standard_normal((n, 8)).astype(np.float32), w
+        tokens, sizes = add_positional_and_cls(
+            rng.standard_normal((1, n, 8)).astype(np.float32), w
         )
-        assert ts.n_tokens == 589
-        assert np.all(ts.sizes == 1.0)
+        assert tokens.shape[1] == 589
+        assert np.all(sizes == 1.0)
 
     def test_positional_mismatch_rejected(self):
         w = EmbeddingWeights(
@@ -174,4 +174,4 @@ class TestAddPositionalAndCls:
             cls_token=np.zeros(4, np.float32),
         )
         with pytest.raises(ConfigError):
-            add_positional_and_cls(np.zeros((7, 4), np.float32), w)
+            add_positional_and_cls(np.zeros((1, 7, 4), np.float32), w)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from astmerge import (
+    ConfigError,
     ModelConfig,
+    ShapeError,
     ToMeConfig,
-    TokenSequence,
     count_trajectory,
-    encoder_forward,
     generate_synthetic_model,
 )
 from astmerge.transformer import (
@@ -70,12 +70,24 @@ def one_block_model(w, n_heads):
 
 def run_block(ts, model, tome):
     """All final-LayerNormed output tokens of one sequence, [n_final x d]."""
-    final, _, _ = encoder_forward_batch(ts.tokens[None], ts.sizes[None], model, tome)
-    return final[0]
+    tokens, sizes = ts
+    final, _, _ = encoder_forward_batch(tokens[None], sizes[None], model, tome)
+    return layer_norm(final[0], model.final_ln_gain, model.final_ln_bias)
+
+
+def encode(ts, model, tome, collect_trace=False):
+    """(final-LayerNormed [CLS] row, per-block counts, merge trace) of one
+    (tokens, sizes) sequence run as a batch of one."""
+    tokens, sizes = ts
+    final, counts, trace = encoder_forward_batch(
+        tokens[None], sizes[None], model, tome, collect_trace
+    )
+    return layer_norm(final[0, 0], model.final_ln_gain, model.final_ln_bias), counts, trace
 
 
 def attention(ts, w, n_heads):
-    out, keys = attention_batch(ts.tokens[None], ts.sizes[None], w, n_heads)
+    tokens, sizes = ts
+    out, keys = attention_batch(tokens[None], sizes[None], w, n_heads)
     return out[0], keys[0]
 
 
@@ -85,19 +97,17 @@ class TestAttention:
         ts = random_token_sequence(rng, 6, 12)
         w = random_block(rng, 12, 24)
         out, keys = attention(ts, w, n_heads=2)
-        ref_out, ref_keys = naive_attention(ts.tokens, ts.sizes, w, 2)
+        ref_out, ref_keys = naive_attention(*ts, w, 2)
         np.testing.assert_allclose(out, ref_out, atol=1e-5)
         np.testing.assert_allclose(keys, ref_keys, atol=1e-5)
 
     def test_merged_sizes_match_naive_proportional_attention(self):
         rng = np.random.default_rng(1)
         sizes = np.array([1, 3, 1, 2, 5, 1], dtype=np.float32)
-        ts = TokenSequence(
-            tokens=rng.standard_normal((6, 12)).astype(np.float32), sizes=sizes
-        )
+        ts = (rng.standard_normal((6, 12)).astype(np.float32), sizes)
         w = random_block(rng, 12, 24)
         out, _ = attention(ts, w, n_heads=3)
-        ref_out, _ = naive_attention(ts.tokens, sizes, w, 3)
+        ref_out, _ = naive_attention(ts[0], sizes, w, 3)
         np.testing.assert_allclose(out, ref_out, atol=1e-5)
 
     def test_single_token_is_value_projection(self):
@@ -107,10 +117,10 @@ class TestAttention:
         ts = random_token_sequence(rng, 1, 8)
         w = random_block(rng, 8, 16)
         out, _ = attention(ts, w, n_heads=2)
-        h = layer_norm(ts.tokens, w.ln1_gain, w.ln1_bias)
+        h = layer_norm(ts[0], w.ln1_gain, w.ln1_bias)
         qkv = h @ w.qkv + w.qkv_bias
         v = qkv[:, 16:]
-        direct = ts.tokens + (v @ w.proj + w.proj_bias)
+        direct = ts[0] + (v @ w.proj + w.proj_bias)
         np.testing.assert_array_equal(out, direct)
 
     def test_returned_keys_are_head_averaged(self):
@@ -140,7 +150,7 @@ class TestEncoderBlock:
         model = one_block_model(zero_block(8, 16), 2)
         cfg = ToMeConfig(r=2)
         out = run_block(ts, model, cfg)
-        merged, _, _ = merge_step(ts.tokens[None], ts.sizes[None], np.zeros((1, 8, 4)), cfg)
+        merged, _, _ = merge_step(ts[0][None], ts[1][None], np.zeros((1, 8, 4)), cfg)
         expected = layer_norm(merged[0], model.final_ln_gain, model.final_ln_bias)
         np.testing.assert_array_equal(out, expected)
 
@@ -156,17 +166,17 @@ class TestEncoderForward:
     def test_r0_counts_constant(self, small_model):
         rng = np.random.default_rng(7)
         ts = random_token_sequence(rng, 109, 32)
-        out = encoder_forward(ts, small_model, ToMeConfig(r=0))
-        assert out.per_block_counts == [109] * 4
-        assert out.final_token_count == 109
+        _, counts, _ = encode(ts, small_model, ToMeConfig(r=0))
+        assert counts == [109] * 4
+        assert counts[-1] == 109
 
     def test_r0_bitwise_equals_merge_free_encoder(self, small_model):
         rng = np.random.default_rng(8)
         for _ in range(5):
             ts = random_token_sequence(rng, 109, 32)
-            a = encoder_forward(ts, small_model, ToMeConfig(r=0))
-            b = encoder_forward(ts, small_model, None)
-            np.testing.assert_array_equal(a.cls_embedding, b.cls_embedding)
+            a, _, _ = encode(ts, small_model, ToMeConfig(r=0))
+            b, _, _ = encode(ts, small_model, None)
+            np.testing.assert_array_equal(a, b)
 
     def test_count_trajectory_with_clamp(self):
         """12 blocks of r=10 from 109 tokens runs into the capacity clamp;
@@ -178,11 +188,11 @@ class TestEncoderForward:
         weights = generate_synthetic_model(3, cfg)
         rng = np.random.default_rng(9)
         ts = random_token_sequence(rng, 109, 16)
-        out = encoder_forward(ts, weights, ToMeConfig(r=10))
+        _, counts, _ = encode(ts, weights, ToMeConfig(r=10))
         expected = count_trajectory(109, 12, 10)
-        assert out.per_block_counts == expected
+        assert counts == expected
         assert expected[:4] == [109, 99, 89, 79]
-        assert out.final_token_count == expected[-1]
+        assert counts[-1] == expected[-1]
 
     def test_parity_preserving_permutation_invariance_single_block(self):
         """Shuffling tokens within each partition side (CLS fixed) relabels
@@ -196,7 +206,7 @@ class TestEncoderForward:
             perm = np.arange(21)
             perm[1::2] = rng.permutation(np.arange(1, 21, 2))
             perm[2::2] = rng.permutation(np.arange(2, 21, 2))
-            ts2 = TokenSequence(tokens=ts.tokens[perm], sizes=ts.sizes[perm])
+            ts2 = (ts[0][perm], ts[1][perm])
             a = run_block(ts, model, ToMeConfig(r=4))
             b = run_block(ts2, model, ToMeConfig(r=4))
             np.testing.assert_allclose(a[0], b[0], atol=1e-5)
@@ -207,9 +217,9 @@ class TestEncoderForward:
     def test_merge_trace_collection(self, small_model):
         rng = np.random.default_rng(11)
         ts = random_token_sequence(rng, 109, 32)
-        out = encoder_forward(ts, small_model, ToMeConfig(r=8), collect_trace=True)
-        assert len(out.merge_trace) == 3
-        for entry in out.merge_trace:
+        _, _, trace = encode(ts, small_model, ToMeConfig(r=8), collect_trace=True)
+        assert len(trace) == 3
+        for entry in trace:
             assert entry.size_sum_before == entry.size_sum_after == 109.0
 
 
@@ -228,40 +238,43 @@ class TestMergedDuplicateEquivalence:
             n = 9
             tokens = rng.standard_normal((n, 24)).astype(np.float32)
             tokens[3] = tokens[6]  # src odd (set A), dst even nonzero (set B)
-            s1 = TokenSequence(tokens=tokens.copy(), sizes=np.ones(n, np.float32))
-            out1 = encoder_forward(s1, weights, ToMeConfig(r=1))
+            s1 = (tokens.copy(), np.ones(n, np.float32))
+            out1, _, _ = encode(s1, weights, ToMeConfig(r=1))
             keep = [i for i in range(n) if i != 3]
             sizes2 = np.ones(n - 1, np.float32)
             sizes2[keep.index(6)] = 2.0
-            s2 = TokenSequence(tokens=tokens[keep].copy(), sizes=sizes2)
-            out2 = encoder_forward(s2, weights, ToMeConfig(r=0))
-            np.testing.assert_allclose(
-                out1.cls_embedding, out2.cls_embedding, atol=1e-5
-            )
+            s2 = (tokens[keep].copy(), sizes2)
+            out2, _, _ = encode(s2, weights, ToMeConfig(r=0))
+            np.testing.assert_allclose(out1, out2, atol=1e-5)
 
 
 class TestBatchedPath:
     def test_batched_equals_single_sequence(self, small_model):
         rng = np.random.default_rng(13)
         seqs = [random_token_sequence(rng, 109, 32) for _ in range(3)]
-        tokens = np.stack([s.tokens for s in seqs])
-        sizes = np.stack([s.sizes for s in seqs])
+        tokens = np.stack([s[0] for s in seqs])
+        sizes = np.stack([s[1] for s in seqs])
         final, counts, _ = encoder_forward_batch(
             tokens, sizes, small_model, ToMeConfig(r=6)
         )
+        cls = layer_norm(final[:, 0], small_model.final_ln_gain, small_model.final_ln_bias)
         for i, s in enumerate(seqs):
-            single = encoder_forward(s, small_model, ToMeConfig(r=6))
-            np.testing.assert_allclose(
-                final[i, 0], single.cls_embedding, atol=1e-5
-            )
-            assert counts == single.per_block_counts
+            single, single_counts, _ = encode(s, small_model, ToMeConfig(r=6))
+            np.testing.assert_allclose(cls[i], single, atol=1e-5)
+            assert counts == single_counts
 
     def test_forward_spectrograms_batch_boundaries_do_not_matter(self, tiny_model):
+        """Bitwise: the batched patch embedding and the blocks must give
+        each clip the same bits whatever chunk it lands in."""
         rng = np.random.default_rng(14)
         specs = rng.standard_normal((5, 128, 16)).astype(np.float32)
-        a, _ = forward_spectrograms(tiny_model, specs, ToMeConfig(r=2), batch_size=2)
-        b, _ = forward_spectrograms(tiny_model, specs, ToMeConfig(r=2), batch_size=5)
-        np.testing.assert_allclose(a, b, atol=1e-5)
+        for r in (0, 2):
+            whole, _ = forward_spectrograms(tiny_model, specs, ToMeConfig(r=r), batch_size=5)
+            for batch_size in (1, 2, 3):
+                a, _ = forward_spectrograms(
+                    tiny_model, specs, ToMeConfig(r=r), batch_size=batch_size
+                )
+                np.testing.assert_array_equal(bits(a), bits(whole))
 
 
 def bits(a):
@@ -332,16 +345,38 @@ class TestBlockBuffers:
 class TestPipeline:
     def test_tokens_from_spectrogram_shapes(self, tiny_model):
         rng = np.random.default_rng(15)
-        values = rng.standard_normal((128, 16)).astype(np.float32)
-        ts = tokens_from_spectrogram(values, tiny_model)
-        assert ts.n_tokens == 13
-        assert np.all(ts.sizes == 1.0)
+        values = rng.standard_normal((2, 128, 16)).astype(np.float32)
+        tokens, sizes = tokens_from_spectrogram(values, tiny_model)
+        assert tokens.shape == (2, 13, 16)
+        assert sizes.shape == (2, 13)
+        assert np.all(sizes == 1.0)
 
     def test_short_clip_padded_long_rejected(self, tiny_model):
-        from astmerge.errors import ShapeError
-
-        short = np.zeros((128, 10), dtype=np.float32)
-        ts = tokens_from_spectrogram(short, tiny_model)
-        assert ts.n_tokens == 13
+        short = np.zeros((1, 128, 10), dtype=np.float32)
+        tokens, _ = tokens_from_spectrogram(short, tiny_model)
+        assert tokens.shape[1] == 13
         with pytest.raises(ShapeError):
-            tokens_from_spectrogram(np.zeros((128, 17), np.float32), tiny_model)
+            tokens_from_spectrogram(np.zeros((1, 128, 17), np.float32), tiny_model)
+
+    def test_batch_rows_equal_clips_run_alone(self, small_model):
+        """Each row of one batched patchify is bitwise the clip patchified
+        alone, a short zero-padded clip included: the embedding GEMM's bits
+        must not depend on how many clips share it."""
+        rng = np.random.default_rng(19)
+        specs = rng.standard_normal((5, 128, 100)).astype(np.float32)
+        specs[3, :, 61:] = 0.0  # what padding a 61-frame clip gives
+        tokens, sizes = tokens_from_spectrogram(specs, small_model)
+        for i in range(5):
+            alone, alone_sizes = tokens_from_spectrogram(specs[i : i + 1], small_model)
+            np.testing.assert_array_equal(bits(tokens[i]), bits(alone[0]))
+            np.testing.assert_array_equal(sizes[i], alone_sizes[0])
+        short, _ = tokens_from_spectrogram(specs[3:4, :, :61], small_model)
+        np.testing.assert_array_equal(bits(tokens[3]), bits(short[0]))
+        with pytest.raises(ShapeError):
+            tokens_from_spectrogram(np.zeros((2, 128, 101), np.float32), small_model)
+
+
+class TestModelWeights:
+    def test_extra_block_rejected(self, tiny_model):
+        with pytest.raises(ConfigError, match="depth 1 but carries 2 blocks"):
+            replace(tiny_model, blocks=tiny_model.blocks * 2)
