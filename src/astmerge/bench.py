@@ -32,6 +32,7 @@ from .head import (
 )
 from .kd import KdBatch, KdConfig, component_losses, load_teacher_logits
 from .model_io import DatasetManifest
+from .pool import pool_plan
 from .tome import ToMeConfig
 from .transformer import ModelWeights, forward_spectrograms
 
@@ -68,7 +69,9 @@ class SweepRow:
     drop: float
     samples_per_second: float
     final_token_count: int
-    thread_count: int
+    thread_count: int  # the --threads value
+    workers: int  # the encoder pool's workers
+    blas_pinned: bool  # BLAS ran one thread inside the forward
     warmup_runs: int
     measured_runs: int
 
@@ -100,8 +103,13 @@ def load_inputs(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
     count, longer ones rejected.
     """
     base = manifest.base_dir or Path(".")
-    arrays = []
-    for rel_path, _ in manifest.entries:
+    if not manifest.entries:
+        raise ConfigError("manifest lists no samples")
+    frames = weights.expected_frames
+    stack = np.empty(
+        (len(manifest.entries), weights.spec_config.n_mels, frames), dtype=np.float32
+    )
+    for i, (rel_path, _) in enumerate(manifest.entries):
         path = Path(rel_path)
         if not path.is_absolute():
             path = base / path
@@ -114,10 +122,8 @@ def load_inputs(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
                 f"{path}: clip has {values.shape[0]} mel bins, the model expects "
                 f"{weights.spec_config.n_mels}"
             )
-        arrays.append(fit_frames(values.astype(np.float32), weights.expected_frames))
-    if not arrays:
-        raise ConfigError("manifest lists no samples")
-    return np.stack(arrays)
+        stack[i] = fit_frames(values, frames)
+    return stack
 
 
 def _forward_all(
@@ -238,6 +244,7 @@ def benchmark_throughput(
                 timings[r].append(time.perf_counter() - t0)
                 outputs[r] = (probs, counts)
 
+    workers, blas_entry = pool_plan(cfg.threads)
     rows = []
     for r in r_values:
         probs, counts = outputs[r]
@@ -250,6 +257,8 @@ def benchmark_throughput(
                 samples_per_second=n / median(timings[r]),
                 final_token_count=counts[-1],
                 thread_count=cfg.threads,
+                workers=workers,
+                blas_pinned=blas_entry > 1,
                 warmup_runs=cfg.warmup_runs,
                 measured_runs=cfg.measured_runs,
             )

@@ -68,19 +68,29 @@ class SamplePool:
         return store[name][:size].reshape(shape)
 
 
+def pool_plan(threads: int = 1) -> tuple[int, int]:
+    """(workers, BLAS pool size to pin from) of the pool ``sample_pool(threads)``
+    opens now: max(threads, BLAS pool size) workers and BLAS pinned when its
+    pool is > 1; one worker and nothing to pin when BLAS cannot be pinned."""
+    controls = blas_threads()
+    if controls is None:
+        return 1, 1
+    entry = controls[0]()
+    return max(threads, entry), entry
+
+
 @contextmanager
 def sample_pool(threads: int = 1):
-    """A pool of max(threads, BLAS pool size) workers, BLAS pinned to one
-    thread until exit; one worker and no pin when BLAS cannot be pinned."""
-    controls = blas_threads()
-    entry = controls[0]() if controls else 1
-    pool = SamplePool(max(threads, entry) if controls else 1)
+    """A pool of ``pool_plan(threads)`` workers, BLAS pinned to one thread
+    until exit when its pool was larger."""
+    workers, entry = pool_plan(threads)
+    pool = SamplePool(workers)
     if entry > 1:
-        controls[1](1)
+        blas_threads()[1](1)
     try:
         yield pool
     finally:
         if pool.executor is not None:
             pool.executor.shutdown()
         if entry > 1:
-            controls[1](entry)
+            blas_threads()[1](entry)

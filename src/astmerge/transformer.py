@@ -2,10 +2,11 @@
 
 Each block runs multi-head self-attention on LayerNormed tokens, merges the
 ``r`` most similar token pairs using that block's attention keys, then runs
-the GELU MLP on what survives. Attention logits toward key j carry an
-ln(size_j) offset (proportional attention) so a merged token attends and is
-attended to exactly as strongly as its constituents would be; with all sizes
-at 1 the offset is exactly zero and the block is a plain pre-norm ViT block.
+the GELU MLP on what survives. Attention toward key j is weighted by its
+size s_j (proportional attention, the ln(s_j) logit offset of ToMe) so a
+merged token attends and is attended to exactly as strongly as its
+constituents would be; with all sizes at 1 the block is a plain pre-norm ViT
+block.
 
 One compute path runs from a [B x mels x frames] spectrogram stack to the
 [B x d] [CLS] rows, float32 throughout: the stack is patchified and embedded
@@ -151,27 +152,33 @@ def layer_norm(
     """LayerNorm over the last axis, written into ``out`` when it is given."""
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
     centered = np.subtract(x, mean, out=out)
-    var = np.mean(centered * centered, axis=-1, keepdims=True, dtype=np.float32)
+    # variance as one row dot product: no centered*centered temporary
+    var = np.einsum("...i,...i->...", centered, centered)[..., None]
+    var *= np.float32(1.0 / x.shape[-1])
     var += np.float32(LN_EPS)
-    centered /= np.sqrt(var, out=var)
+    np.sqrt(var, out=var)
+    centered *= np.reciprocal(var, out=var)  # one division per row
     centered *= gain
     centered += bias
     return centered
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    # tanh form; erf ufuncs are an order of magnitude slower on this path.
-    # In-place scalar chain: one temporary for the whole array.
-    y = x * x
-    y *= x
-    y *= np.float32(0.044715)
-    y += x
-    y *= np.float32(math.sqrt(2.0 / math.pi))
-    np.tanh(y, out=y)
-    y += np.float32(1.0)
-    y *= x
-    y *= np.float32(0.5)
-    return y
+_GELU_C0 = np.float32(math.sqrt(2.0 / math.pi))
+_GELU_C1 = np.float32(0.044715 * math.sqrt(2.0 / math.pi))
+
+
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """tanh-form GELU, written into ``out`` when it is given; erf ufuncs are
+    an order of magnitude slower on this path."""
+    u = np.multiply(x, x, out=out)
+    u *= _GELU_C1
+    u += _GELU_C0
+    u *= x  # u = x (c0 + c1 x^2)
+    np.tanh(u, out=u)
+    u += np.float32(1.0)
+    u *= x
+    u *= np.float32(0.5)
+    return u
 
 
 def attention_batch(
@@ -182,14 +189,17 @@ def attention_batch(
     head-averaged keys [B x n x head_dim] the merge step scores on. Each
     worker of ``pool`` runs its samples one at a time through its own
     [n x d], [n x 3d] and [n x n] buffers, so one sample's working set stays
-    cache-hot and no batch-sized temporary is made."""
+    cache-hot and no batch-sized temporary is made.
+
+    Proportional attention, softmax(q k^T / sqrt(dh) + ln s), weights key
+    j's value row and the normaliser by its size s_j: the normaliser is one
+    GEMV attn @ s and the values are scaled before the AV GEMM, so nothing
+    but the max shift and exp passes over the [n x n] scores."""
     b, n, d = x.shape
     if d % n_heads != 0:
         raise ShapeError(f"embed dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
-    proportional = bool(np.any(sizes != 1.0))
-    if proportional:
-        size_offset = np.log(sizes).astype(np.float32)  # [b, n]
+    sizes = np.ascontiguousarray(sizes, dtype=np.float32)
     out = np.empty((b, n, d), dtype=np.float32)
     keys = np.zeros((b, n, dh), dtype=np.float32)
     pool = pool or SamplePool()
@@ -199,7 +209,10 @@ def attention_batch(
         qkv = pool.scratch(worker, "qkv", (n, 3 * d))
         attn = pool.scratch(worker, "attn", (n, n))
         ctx = pool.scratch(worker, "ctx", (n, d))
+        sv = pool.scratch(worker, "sv", (n, dh))
+        den = pool.scratch(worker, "den", (n,))
         for i in range(lo, hi):
+            s = sizes[i]
             layer_norm(x[i], w.ln1_gain, w.ln1_bias, out=h)
             np.matmul(h, w.qkv, out=qkv)
             qkv += w.qkv_bias
@@ -209,15 +222,14 @@ def attention_batch(
                 cols = slice(j * dh, (j + 1) * dh)
                 q, k, v = qkv[:, cols], qkv[:, d:][:, cols], qkv[:, 2 * d :][:, cols]
                 np.matmul(q, k.T, out=attn)
-                if proportional:
-                    attn += size_offset[i]
-                # softmax with the normalization folded into ctx: divide the
-                # [n x dh] output instead of the [n x n] weights
                 attn -= attn.max(axis=-1, keepdims=True)
                 np.exp(attn, out=attn)
-                den = attn.sum(axis=-1, keepdims=True)
-                np.matmul(attn, v, out=ctx[:, cols])
-                ctx[:, cols] /= den
+                # the normalization is folded into ctx: divide the [n x dh]
+                # output instead of the [n x n] weights
+                np.matmul(attn, s, out=den)
+                np.multiply(v, s[:, None], out=sv)
+                np.matmul(attn, sv, out=ctx[:, cols])
+                ctx[:, cols] /= den[:, None]
                 keys[i] += k  # from zero, in head order: the bits of a mean
             keys[i] /= np.float32(n_heads)
             np.matmul(ctx, w.proj, out=out[i])
@@ -244,13 +256,14 @@ def mlp_batch(x: np.ndarray, w: BlockWeights, pool: SamplePool | None = None) ->
     def run(worker: int, lo: int, hi: int) -> None:
         h = pool.scratch(worker, "ln2", (rows, d))
         hidden = pool.scratch(worker, "hidden", (rows, w.mlp_in.shape[1]))
+        act = pool.scratch(worker, "gelu", hidden.shape)
         for start in range(lo * _MLP_ROWS, hi * _MLP_ROWS, _MLP_ROWS):
             chunk, dst = flat[start : start + rows], out[start : start + rows]
             m = chunk.shape[0]
             layer_norm(chunk, w.ln2_gain, w.ln2_bias, out=h[:m])
             np.matmul(h[:m], w.mlp_in, out=hidden[:m])
             hidden[:m] += w.mlp_in_bias
-            np.matmul(gelu(hidden[:m]), w.mlp_out, out=dst)
+            np.matmul(gelu(hidden[:m], out=act[:m]), w.mlp_out, out=dst)
             dst += w.mlp_out_bias
             dst += chunk
 
@@ -336,8 +349,12 @@ def forward_spectrograms(
     batch_size: int = 16,
     threads: int = 1,
 ) -> tuple[np.ndarray, list[int]]:
-    """Normalize, pad, patchify and encode a [n_samples x mels x frames]
+    """Pad, normalize, patchify and encode a [n_samples x mels x frames]
     stack one ``batch_size`` chunk at a time.
+
+    A short clip is zero-padded before it is normalized, as AST does and as
+    ``bench.load_inputs`` pads it, so its logits do not depend on which of
+    the two padded it.
 
     Returns the [n_samples x d] final-LayerNormed CLS embeddings in input
     order and the per-block token counts (identical for every sample of a
@@ -349,11 +366,16 @@ def forward_spectrograms(
     cls_rows = []
     counts: list[int] = []
     for start in range(0, specs.shape[0], batch_size):
-        chunk = specs[start : start + batch_size]
+        chunk = fit_frames(specs[start : start + batch_size], weights.expected_frames)
         if weights.norm_mean != 0.0 or weights.norm_std != 1.0:
             chunk = (chunk - np.float32(weights.norm_mean)) / np.float32(weights.norm_std)
-        tokens, sizes = tokens_from_spectrogram(chunk, weights)
-        final, counts, _ = encoder_forward_batch(tokens, sizes, weights, tome, threads=threads)
+        # Popped straight into the call, so no name here holds the block-0
+        # tokens once block 0's attention has replaced them (CPython >= 3.11
+        # moves call arguments into the callee's frame).
+        batch = list(tokens_from_spectrogram(chunk, weights))
+        final, counts, _ = encoder_forward_batch(
+            batch.pop(0), batch.pop(), weights, tome, threads=threads
+        )
         cls_rows.append(layer_norm(final[:, 0], weights.final_ln_gain, weights.final_ln_bias))
     if not cls_rows:
         return np.zeros((0, weights.config.embed_dim), dtype=np.float32), []

@@ -121,6 +121,32 @@ def brute_force_merge(tokens, sizes, keys, r, protect_cls):
     return out_tokens, out_sizes, edges
 
 
+def add_at_merge_fold(tokens, sizes, src, dst):
+    """Bit reference for merge_step's fold, row by row with ``np.add.at``.
+
+    Unlike the rest of this module it runs in float32 on purpose: it is the
+    fold merge_step used to run, and merge_step must reproduce its bits.
+    Each destination's delta sum(s_a (x_a - x_d)) and size gain start from
+    zero and add their edges in edge order; survivors are x + 0.
+    """
+    out_tokens, out_sizes = [], []
+    for x, s, sr, ds in zip(tokens, sizes, src, dst):
+        dest, slot = np.unique(ds, return_inverse=True)
+        delta = np.zeros((dest.size, x.shape[1]), dtype=np.float32)
+        np.add.at(delta, slot, s[sr, None] * (x[sr] - x[ds]))
+        gain = np.zeros(dest.size, dtype=np.float32)
+        np.add.at(gain, slot, s[sr])
+        new_s = s.copy()
+        new_s[dest] += gain
+        new_x = x + np.float32(0.0)
+        new_x[dest] = x[dest] + delta / new_s[dest, None]
+        keep = np.ones(x.shape[0], dtype=bool)
+        keep[sr] = False
+        out_tokens.append(new_x[keep])
+        out_sizes.append(new_s[keep])
+    return np.stack(out_tokens), np.stack(out_sizes)
+
+
 def ap_reference(scores, labels):
     """O(n^2) average precision: count items ranked at or above each
     positive, ranking by descending score with lower index winning ties."""

@@ -1,12 +1,16 @@
 """The encoder's sample pool: output bits do not depend on the worker count
 or the BLAS thread count, and the BLAS pool size is always restored."""
 
+import json
 import sys
 
 import numpy as np
 import pytest
 
-from astmerge import DatasetManifest, pool, run_inference, transformer
+from astmerge import (
+    BenchConfig, DatasetManifest, benchmark_throughput, pool, run_inference,
+    sweep_report, transformer,
+)
 from astmerge.pool import SamplePool, blas_threads, sample_pool
 
 BATCH = 5  # 7 clips: batches of 5 and 2, and 5 is no multiple of 2 or 3
@@ -118,6 +122,32 @@ def test_missing_blas_symbols_run_serially_and_deterministically(
     runs = [logits_bytes(small_model, clips, 6, threads=3) for _ in range(2)]
     assert runs[0] == runs[1] and set(seen) == {1}
     assert (controls[0]() if controls else None) == entry
+
+
+@pytest.mark.parametrize(
+    "threads, blas, pinned", [(2, 1, False), (1, 2, True)], ids=["threads-2", "blas-2"]
+)
+def test_sweep_reports_the_pool_that_ran(small_model, clips, monkeypatch, threads, blas, pinned):
+    """A forced 2-worker pool, from --threads 2 over a one-thread BLAS and
+    from a 2-thread BLAS under --threads 1: each sweep row and the JSON
+    report carry the workers every forward's pool had and the BLAS pin."""
+    state = [blas]
+    controls = (lambda: state[0], lambda k: state.__setitem__(0, k))
+    monkeypatch.setattr(pool, "blas_threads", lambda: controls)
+    seen, init = [], SamplePool.__init__
+
+    def recorded(self, workers=1):
+        seen.append(workers)
+        init(self, workers)
+
+    monkeypatch.setattr(SamplePool, "__init__", recorded)
+    manifest, specs = clips
+    cfg = BenchConfig(r_values=(0, 6), batch_size=BATCH, warmup_runs=0, threads=threads)
+    result = benchmark_throughput(small_model, manifest, cfg, inputs=specs)
+    assert set(seen) == {2} and state[0] == blas
+    doc = json.loads(sweep_report(result)[0])
+    for row in doc["rows"]:
+        assert (row["thread_count"], row["workers"], row["blas_pinned"]) == (threads, 2, pinned)
 
 
 def test_split_covers_the_range_and_reraises_worker_errors():

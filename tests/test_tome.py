@@ -7,7 +7,7 @@ from astmerge import ToMeConfig, merge_step
 from astmerge.errors import ShapeError
 from astmerge.tome import merge_capacity
 
-from oracles import brute_force_merge
+from oracles import add_at_merge_fold, brute_force_merge
 
 
 def merge_one(tokens, keys, cfg, sizes=None):
@@ -240,6 +240,34 @@ class TestBatch:
                     np.testing.assert_array_equal(out_sizes[i], one_sizes[0])
                     for got, alone in zip(edges, one_edges):
                         np.testing.assert_array_equal(got[i], alone[0])
+
+
+class TestFold:
+    def test_fold_bitwise_equals_add_at_reference(self):
+        """The sort-by-destination fold against the np.add.at fold, bit for
+        bit: batches whose destinations take 1 to 5 sources, -0.0 tokens,
+        and destinations shared across rows only by their index."""
+        rng = np.random.default_rng(9)
+        fan_in = set()
+        for trial in range(300):
+            b, n, d = int(rng.integers(1, 5)), int(rng.integers(2, 40)), int(rng.integers(1, 7))
+            tokens = rng.standard_normal((b, n, d)).astype(np.float32)
+            tokens[rng.random((b, n, d)) < 0.15] = -0.0
+            tokens[rng.random((b, n)) < 0.1] = -0.0  # whole -0.0 rows
+            sizes = rng.integers(1, 6, size=(b, n)).astype(np.float32)
+            # few distinct key directions: many sources share one destination
+            keys = rng.integers(-1, 2, size=(b, n, int(rng.integers(1, 4)))).astype(np.float32)
+            cfg = ToMeConfig(r=int(rng.integers(1, n + 1)), protect_cls=bool(trial % 2))
+            out, out_sizes, edges = merge_step(tokens, sizes, keys, cfg)
+            if edges is None:
+                continue
+            src, dst, _ = edges
+            ref, ref_sizes = add_at_merge_fold(tokens, sizes, src, dst)
+            np.testing.assert_array_equal(out.view(np.uint32), ref.view(np.uint32))
+            np.testing.assert_array_equal(out_sizes.view(np.uint32), ref_sizes.view(np.uint32))
+            for row in dst:
+                fan_in.update(np.unique(row, return_counts=True)[1].tolist())
+        assert {1, 2, 3, 4, 5} <= fan_in
 
 
 class TestConservationLaws:
