@@ -129,7 +129,7 @@ def load_inputs(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
 def _forward_all(
     weights: ModelWeights,
     specs: np.ndarray,
-    tome: ToMeConfig | None,
+    tome: ToMeConfig,
     batch_size: int,
     threads: int,
 ) -> tuple[np.ndarray, list[int]]:

@@ -73,11 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--threads", type=int, default=1)
     b.add_argument("--warmup-runs", type=int, default=2)
     b.add_argument("--measured-runs", type=int, default=3)
-    b.add_argument(
-        "--mode",
-        default="inf",
-        help="'inf' applies merging at inference; 'train-inf' is not executable here",
-    )
     b.add_argument("--teacher-logits", default=None, help="TLOG1 file for KD loss")
     b.add_argument("--lambda", dest="lam", type=float, default=0.1)
     b.add_argument("--tau", type=float, default=1.0)
@@ -124,11 +119,6 @@ def _parse_sweep(text: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.mode != "inf":
-        raise ConfigError(
-            f"mode {args.mode!r} is not executable: merging during training is a "
-            "non-goal of this artifact; use --mode inf"
-        )
     weights = load_model(args.model)
     manifest = load_manifest(args.manifest)
 

@@ -27,6 +27,7 @@ from .errors import AlignmentError, ConfigError, FormatError, ShapeError
 from .features import SpectrogramConfig
 from .head import TASK_KINDS, HeadWeights
 from .patchify import EmbeddingWeights, PatchConfig, patch_count
+from .tome import ToMeConfig
 from .transformer import (
     BlockWeights,
     ModelConfig,
@@ -246,12 +247,12 @@ class DatasetManifest:
     clip_seconds: float
     base_dir: Path | None = None
 
-    def labels_array(self, n_classes: int | None = None) -> np.ndarray:
+    def labels_array(self, n_classes: int) -> np.ndarray:
         if self.task_kind == "single-label":
             labels = [label for _, label in self.entries]
             for label in labels:
                 if isinstance(label, bool) or not isinstance(label, (int, np.integer)) or (
-                    n_classes is not None and not 0 <= label < n_classes
+                    not 0 <= label < n_classes
                 ):
                     raise AlignmentError(
                         f"single-label label {label!r} is not a class index in "
@@ -266,14 +267,13 @@ class DatasetManifest:
                 raise AlignmentError(
                     f"manifest entry {i}: multi-label label {label!r} is not a row of numbers"
                 ) from None
-        width = n_classes if n_classes is not None else rows[0].size if rows else 0
         for i, row in enumerate(rows):
-            if row.shape != (width,):
+            if row.shape != (n_classes,):
                 raise ShapeError(
                     f"manifest entry {i}: label row of shape {row.shape}, expected "
-                    f"{width} classes"
+                    f"{n_classes} classes"
                 )
-        return np.stack(rows) if rows else np.zeros((0, width))
+        return np.stack(rows) if rows else np.zeros((0, n_classes))
 
 
 def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
@@ -488,12 +488,12 @@ def fit_head_probe(
 ) -> HeadWeights:
     """Closed-form linear probe on the frozen encoder's [CLS] embeddings.
 
-    Runs the merge-free encoder over the fitting set, then solves a ridge
+    Runs the encoder at r = 0 (no merges) over the fitting set, then solves a ridge
     regression from embeddings to one-hot (or binary) targets. No
     backpropagation anywhere; this is how desk-scale models get an
     above-chance head.
     """
-    cls, _ = forward_spectrograms(weights, spectrograms, tome=None, batch_size=batch_size)
+    cls, _ = forward_spectrograms(weights, spectrograms, ToMeConfig(r=0), batch_size)
     x = np.concatenate(
         [cls.astype(np.float64), np.ones((cls.shape[0], 1))], axis=1
     )

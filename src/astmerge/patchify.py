@@ -31,10 +31,6 @@ class PatchConfig:
             raise ConfigError("patch_size and stride must be positive")
 
     @property
-    def overlap(self) -> int:
-        return self.patch_size - self.stride
-
-    @property
     def patch_values(self) -> int:
         return self.patch_size * self.patch_size
 

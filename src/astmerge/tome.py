@@ -43,7 +43,7 @@ def merge_capacity(n_tokens: int, protect_cls: bool) -> int:
 
 def merge_step(
     tokens: np.ndarray, sizes: np.ndarray, keys: np.ndarray, cfg: ToMeConfig,
-    pool: SamplePool | None = None,
+    pool: SamplePool,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """One partition/score/select/merge pass over [B x n x d] tokens.
 
@@ -72,6 +72,8 @@ def merge_step(
     # round-off; zero-norm keys score the sentinel -1 behind every real match.
     # One sample at a time, split over the workers of ``pool``: the float64
     # working set stays cache-sized and no batch-sized temporary is made.
+    # The pool comes from ``sample_pool``, whose one-thread BLAS keeps the
+    # similarity bits independent of the BLAS thread count.
     n_a = len(range(a0, n, 2))
     best_b = np.empty((b, n_a), dtype=np.intp)
     best_sim = np.empty((b, n_a))
@@ -88,7 +90,7 @@ def merge_step(
             best_b[i] = sim.argmax(axis=1)  # first max: lowest B position on ties
             best_sim[i] = sim[np.arange(n_a), best_b[i]]
 
-    (pool or SamplePool()).split(score, b)
+    pool.split(score, b)
     order = np.argsort(-best_sim, axis=1, kind="stable")[:, :r]  # lower A first
     src = 2 * order + a0
     dst = 2 * np.take_along_axis(best_b, order, axis=1) + b0

@@ -14,6 +14,8 @@ batch-wide, the blocks run on [B x n x d] token arrays, and the final
 LayerNorm is applied to the [CLS] rows alone, the only rows the head reads.
 Merge decisions are per-sample but made for the whole batch at once; every
 sample shares n and r, so counts stay aligned and the batch never ragged.
+Every block takes the same path at every r: r = 0 makes each merge a strict
+no-op.
 """
 
 from __future__ import annotations
@@ -135,17 +137,6 @@ class ModelWeights:
         )
 
 
-@dataclass
-class MergeTraceEntry:
-    """Size and centroid bookkeeping around one block's merge (float64)."""
-
-    block: int
-    size_sum_before: float
-    size_sum_after: float
-    centroid_before: np.ndarray
-    centroid_after: np.ndarray
-
-
 def layer_norm(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -182,8 +173,7 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def attention_batch(
-    x: np.ndarray, sizes: np.ndarray, w: BlockWeights, n_heads: int,
-    pool: SamplePool | None = None,
+    x: np.ndarray, sizes: np.ndarray, w: BlockWeights, n_heads: int, pool: SamplePool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual attention sub-layer on a [B x n x d] batch; also returns the
     head-averaged keys [B x n x head_dim] the merge step scores on. Each
@@ -202,7 +192,6 @@ def attention_batch(
     sizes = np.ascontiguousarray(sizes, dtype=np.float32)
     out = np.empty((b, n, d), dtype=np.float32)
     keys = np.zeros((b, n, dh), dtype=np.float32)
-    pool = pool or SamplePool()
 
     def run(worker: int, lo: int, hi: int) -> None:
         h = pool.scratch(worker, "h", (n, d))
@@ -243,7 +232,7 @@ def attention_batch(
 _MLP_ROWS = 256  # rows per slab; one slab's LN and hidden buffers stay in L2
 
 
-def mlp_batch(x: np.ndarray, w: BlockWeights, pool: SamplePool | None = None) -> np.ndarray:
+def mlp_batch(x: np.ndarray, w: BlockWeights, pool: SamplePool) -> np.ndarray:
     """Residual MLP sub-layer x + W2 gelu(W1 ln2(x)), run over row slabs;
     each worker of ``pool`` takes a contiguous range of slabs and its own
     LayerNorm and hidden buffers; every matmul writes in place."""
@@ -251,7 +240,6 @@ def mlp_batch(x: np.ndarray, w: BlockWeights, pool: SamplePool | None = None) ->
     flat = x.reshape(b * n, d)
     out = np.empty_like(flat)
     rows = min(_MLP_ROWS, flat.shape[0])
-    pool = pool or SamplePool()
 
     def run(worker: int, lo: int, hi: int) -> None:
         h = pool.scratch(worker, "ln2", (rows, d))
@@ -273,58 +261,42 @@ def mlp_batch(x: np.ndarray, w: BlockWeights, pool: SamplePool | None = None) ->
 
 def _merge_batch(
     tokens: np.ndarray, sizes: np.ndarray, keys: np.ndarray, cfg: ToMeConfig,
-    pool: SamplePool | None = None,
+    pool: SamplePool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The encoder's merge call: merge_step without its edges.
 
     perfbench/tracing.py times and counts merges by this name, reading the
-    (tokens, sizes, keys, cfg) arguments and the merged tokens.
+    (tokens, sizes, keys, cfg) arguments and the merged tokens; the tests
+    wrap it to check what each block's merge conserves.
     """
-    tokens, sizes, _ = merge_step(tokens, sizes, keys, cfg, pool=pool)
+    tokens, sizes, _ = merge_step(tokens, sizes, keys, cfg, pool)
     return tokens, sizes
 
 
 def encoder_forward_batch(
-    tokens: np.ndarray, sizes: np.ndarray, weights: ModelWeights,
-    tome: ToMeConfig | None, collect_trace: bool = False, threads: int = 1,
-) -> tuple[np.ndarray, list[int], list[MergeTraceEntry]]:
-    """Run all blocks on a [B x n x d] batch.
+    tokens: np.ndarray, sizes: np.ndarray, weights: ModelWeights, tome: ToMeConfig,
+    threads: int = 1,
+) -> tuple[np.ndarray, list[int]]:
+    """Run all blocks on a [B x n x d] batch; ``tome.r == 0`` makes every
+    merge a strict no-op.
 
-    ``tome=None`` compiles the merge call sites out entirely; ``tome.r == 0``
-    leaves them in as strict no-ops. The blocks run on a ``sample_pool``
-    of ``threads`` workers or the BLAS pool size, whichever is larger; the
-    bits do not depend on either. Returns ([B x n_final x d] tokens out of
-    the last block, CLS first, before the final LayerNorm; token counts
-    entering each block plus the final count; optional merge trace).
+    The blocks run on a ``sample_pool`` of ``threads`` workers or the BLAS
+    pool size, whichever is larger; the bits do not depend on either.
+    Returns the [B x n_final x d] tokens out of the last block, CLS first,
+    before the final LayerNorm, and the token counts entering each block
+    plus the final count.
     """
     cfg = weights.config
     tokens = np.ascontiguousarray(tokens, dtype=np.float32)
     sizes = np.ascontiguousarray(sizes, dtype=np.float32)
     counts = [tokens.shape[1]]
-    trace: list[MergeTraceEntry] = []
     with sample_pool(threads) as pool:
-        for bi, bw in enumerate(weights.blocks):
-            tokens, keys = attention_batch(tokens, sizes, bw, cfg.n_heads, pool=pool)
-            if tome is not None:
-                if collect_trace:
-                    before_mass = float(sizes.sum(dtype=np.float64))
-                    before_centroid = np.einsum(
-                        "bn,bnd->d", sizes.astype(np.float64), tokens.astype(np.float64)
-                    )
-                tokens, sizes = _merge_batch(tokens, sizes, keys, tome, pool=pool)
-                if collect_trace:
-                    trace.append(MergeTraceEntry(
-                        block=bi,
-                        size_sum_before=before_mass,
-                        size_sum_after=float(sizes.sum(dtype=np.float64)),
-                        centroid_before=before_centroid,
-                        centroid_after=np.einsum(
-                            "bn,bnd->d", sizes.astype(np.float64), tokens.astype(np.float64)
-                        ),
-                    ))
-            tokens = mlp_batch(tokens, bw, pool=pool)
+        for bw in weights.blocks:
+            tokens, keys = attention_batch(tokens, sizes, bw, cfg.n_heads, pool)
+            tokens, sizes = _merge_batch(tokens, sizes, keys, tome, pool)
+            tokens = mlp_batch(tokens, bw, pool)
             counts.append(tokens.shape[1])
-    return tokens, counts, trace
+    return tokens, counts
 
 
 def tokens_from_spectrogram(
@@ -345,7 +317,7 @@ def tokens_from_spectrogram(
 def forward_spectrograms(
     weights: ModelWeights,
     spectrograms: np.ndarray,
-    tome: ToMeConfig | None,
+    tome: ToMeConfig,
     batch_size: int = 16,
     threads: int = 1,
 ) -> tuple[np.ndarray, list[int]]:
@@ -373,7 +345,7 @@ def forward_spectrograms(
         # tokens once block 0's attention has replaced them (CPython >= 3.11
         # moves call arguments into the callee's frame).
         batch = list(tokens_from_spectrogram(chunk, weights))
-        final, counts, _ = encoder_forward_batch(
+        final, counts = encoder_forward_batch(
             batch.pop(0), batch.pop(), weights, tome, threads=threads
         )
         cls_rows.append(layer_norm(final[:, 0], weights.final_ln_gain, weights.final_ln_bias))
@@ -382,13 +354,12 @@ def forward_spectrograms(
     return np.concatenate(cls_rows, axis=0), counts
 
 
-def count_trajectory(
-    n_tokens: int, depth: int, r: int, protect_cls: bool = True
-) -> list[int]:
-    """Predicted token counts entering each block plus the final count."""
+def count_trajectory(n_tokens: int, depth: int, r: int) -> list[int]:
+    """Predicted token counts entering each block plus the final count, with
+    [CLS] protected as ``ToMeConfig`` protects it by default."""
     counts = [n_tokens]
     n = n_tokens
     for _ in range(depth):
-        n -= min(r, merge_capacity(n, protect_cls))
+        n -= min(r, merge_capacity(n, True))
         counts.append(n)
     return counts

@@ -7,6 +7,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from astmerge import ModelConfig, generate_synthetic_model
+from astmerge.pool import sample_pool
+
+
+@pytest.fixture()
+def pool():
+    """The encoder's sample pool, BLAS pinned to one thread while the test
+    runs, for calling the stage functions directly."""
+    with sample_pool() as p:
+        yield p
 
 
 @pytest.fixture(scope="session")

@@ -51,7 +51,7 @@ class TestRunInference:
     def test_r0_equals_merge_free_forward(self, tiny_model, tiny_dataset_dir):
         _, manifest, specs, _ = tiny_dataset_dir
         result = run_inference(tiny_model, manifest, r=0, batch_size=4)
-        cls, _ = forward_spectrograms(tiny_model, specs, None, batch_size=4)
+        cls, _ = forward_spectrograms(tiny_model, specs, ToMeConfig(r=0), batch_size=4)
         logits = cls @ tiny_model.head.linear + tiny_model.head.bias
         np.testing.assert_array_equal(result.logits, logits)
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: generation, bench runs, error categories."""
 
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -158,17 +159,6 @@ class TestBenchCommand:
 
 
 class TestErrorReporting:
-    def test_train_inf_mode_rejected(self, workspace, capsys):
-        tmp, model, manifest, _ = workspace
-        code = main([
-            "bench", "--model", str(model), "--manifest", str(manifest),
-            "--r", "0", "--mode", "train-inf",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:config:")
-        assert "non-goal" in err
-
     def test_missing_model_is_io_error(self, workspace, capsys):
         tmp, _, manifest, _ = workspace
         code = main([
@@ -439,6 +429,52 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
         assert "bad.wav" in err
+
+    @pytest.mark.parametrize("fmt", ["MODL1", "SPEC1", "TLOG1", "MANI1", "WAV"])
+    def test_truncated_input_fails_closed(self, workspace, capsys, fmt):
+        """Each input cut at every offset up to the end of its header (every
+        offset of the whole file for the JSON-lines MANI1): bench exits 2
+        with exactly one error line. A MANI1 cut on a line boundary that
+        keeps an entry is a valid shorter manifest and exits 0."""
+        from astmerge.features import Waveform, write_wav
+
+        tmp, model, manifest, teacher = workspace
+        extra = []
+        if fmt == "MODL1":
+            target = model
+            header_end = 10 + struct.unpack_from("<I", model.read_bytes(), 6)[0]
+        elif fmt == "SPEC1":  # 5-byte magic, u32 rows, u32 cols, as TLOG1
+            target, header_end = tmp / "data" / "specs" / "00003.spec", 13
+        elif fmt == "TLOG1":
+            target, header_end, extra = teacher, 13, ["--teacher-logits", str(teacher)]
+        elif fmt == "WAV":
+            target, header_end = tmp / "clip.wav", 44
+            write_wav(target, Waveform(samples=np.zeros(2560), sample_rate=16000))
+            manifest = tmp / "wav_manifest.jsonl"
+            manifest.write_text("\n".join(json.dumps(row) for row in [
+                {"magic": "MANI1", "task_kind": "single-label", "clip_seconds": 0.16},
+                {"path": "clip.wav", "label": 0},
+            ]) + "\n")
+        else:
+            target, header_end = manifest, len(manifest.read_bytes()) - 1
+        data = target.read_bytes()
+        argv = ["bench", "--model", str(model), "--manifest", str(manifest), "--r", "0", *extra]
+        valid = []
+        for cut in range(header_end + 1):
+            target.write_bytes(data[:cut])
+            code = main(argv)
+            err = capsys.readouterr().err
+            on_line_boundary = b"\n" in data[max(cut - 1, 0) : cut + 1]
+            if fmt == "MANI1" and on_line_boundary and len(data[:cut].splitlines()) > 1:
+                assert (code, err) == (0, ""), (cut, err)
+                valid.append(cut)
+                continue
+            assert code == 2, cut
+            assert re.fullmatch(r"error:(config|shape|format|alignment|io): [^\n]+\n", err), (
+                cut, err,
+            )
+        # 6 entries: before and after each entry's newline, bar the whole file
+        assert len(valid) == (11 if fmt == "MANI1" else 0)
 
     @pytest.mark.parametrize("paths", [["00000.spec", "narrow.spec"], ["narrow.spec"]],
                              ids=["mixed-mel-counts", "only-wrong-mel-count"])

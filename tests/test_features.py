@@ -12,6 +12,7 @@ from astmerge import (
     FormatError,
     Spectrogram,
     SpectrogramConfig,
+    ToMeConfig,
     Waveform,
     compute_log_mel,
     load_spec,
@@ -132,14 +133,14 @@ class TestNormalize:
 
     @staticmethod
     def encode(model, values):
-        cls, _ = forward_spectrograms(model, np.asarray(values, np.float32), None)
+        cls, _ = forward_spectrograms(model, np.asarray(values, np.float32), ToMeConfig(r=0))
         return cls
 
     def test_identity_parameters(self, tiny_model):
         s = compute_log_mel(sine(500, 0.16), CFG)
         model = replace(tiny_model, norm_mean=0.0, norm_std=1.0)
         tokens, sizes = tokens_from_spectrogram(s.values[None], model)
-        final, _, _ = encoder_forward_batch(tokens, sizes, model, None)
+        final, _ = encoder_forward_batch(tokens, sizes, model, ToMeConfig(r=0))
         cls = layer_norm(final[:, 0], model.final_ln_gain, model.final_ln_bias)
         np.testing.assert_array_equal(self.encode(model, s.values[None]), cls)
 

@@ -226,11 +226,10 @@ class TestManifest:
             ([1, 0], 3, ShapeError),
             ([[1, 0, 1]], 3, ShapeError),
             (1, 3, ShapeError),
-            ([1, 0], None, ShapeError),  # the first row sets the width
             (["a", 0, 1], 3, AlignmentError),
             ([[1], [0, 1]], 3, AlignmentError),
         ],
-        ids=["short", "nested", "scalar", "ragged-unchecked", "string", "jagged"],
+        ids=["short", "nested", "scalar", "string", "jagged"],
     )
     def test_malformed_multi_label_row_rejected(self, label, n_classes, error):
         m = DatasetManifest(

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from astmerge import (
-    BenchConfig, DatasetManifest, benchmark_throughput, pool, run_inference,
-    sweep_report, transformer,
+    BenchConfig, DatasetManifest, ToMeConfig, benchmark_throughput, merge_step, pool,
+    run_inference, sweep_report, transformer,
 )
 from astmerge.pool import SamplePool, blas_threads, sample_pool
 
@@ -92,11 +92,11 @@ def test_blas_pool_size_restored(small_model, clips, monkeypatch):
     try:
         inside, fail, mlp = [], [False], transformer.mlp_batch
 
-        def spy(x, w, pool=None):
+        def spy(x, w, pool):
             inside.append(get())
             if fail[0] and len(inside) == 2:  # block 1 of the first batch
                 raise RuntimeError("mid-batch")
-            return mlp(x, w, pool=pool)
+            return mlp(x, w, pool)
 
         monkeypatch.setattr(transformer, "mlp_batch", spy)
         logits_bytes(small_model, clips, 6)
@@ -108,6 +108,31 @@ def test_blas_pool_size_restored(small_model, clips, monkeypatch):
         assert get() == 2
     finally:
         set_(entry)
+
+
+@needs_blas_control
+def test_merge_step_bits_do_not_follow_the_blas_pool():
+    """A standalone merge_step on a sample_pool pool: a desk-shaped batch
+    under a 2-thread BLAS pool (two workers, BLAS pinned) gives the bits of
+    the same call under a one-thread pool, tokens, sizes and (src, dst, sim)
+    edges alike. Scoring on an unpinned 2-thread BLAS moves the similarity
+    bits."""
+    rng = np.random.default_rng(25)
+    tokens = rng.standard_normal((4, 589, 192)).astype(np.float32)
+    sizes = rng.integers(1, 4, size=(4, 589)).astype(np.float32)
+    keys = rng.standard_normal((4, 589, 64)).astype(np.float32)
+    get, set_ = blas_threads()
+    entry, runs = get(), []
+    try:
+        for blas in (2, 1):
+            set_(blas)
+            with sample_pool() as sp:
+                assert sp.workers == blas
+                out, out_sizes, edges = merge_step(tokens, sizes, keys, ToMeConfig(r=40), sp)
+            runs.append([a.tobytes() for a in (out, out_sizes, *edges)])
+    finally:
+        set_(entry)
+    assert runs[0] == runs[1]
 
 
 def test_missing_blas_symbols_run_serially_and_deterministically(

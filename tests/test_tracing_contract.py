@@ -38,7 +38,7 @@ def test_every_traced_name_resolves_to_a_callable():
     assert missing == []
 
 
-def test_counters_read_real_calls(tiny_model):
+def test_counters_read_real_calls(tiny_model, pool):
     tracing = load_tracing()
     assert set(tracing.COUNTERS) == {"transformer.attention_batch", "transformer._merge_batch"}
     b, n = 3, tiny_model.n_tokens
@@ -51,10 +51,10 @@ def test_counters_read_real_calls(tiny_model):
     tracer.install({"transformer": transformer})
     try:
         _, keys = transformer.attention_batch(
-            tokens, sizes, tiny_model.blocks[0], tiny_model.config.n_heads
+            tokens, sizes, tiny_model.blocks[0], tiny_model.config.n_heads, pool
         )
         for r in r_values:
-            transformer._merge_batch(tokens, sizes, keys, ToMeConfig(r=r))
+            transformer._merge_batch(tokens, sizes, keys, ToMeConfig(r=r), pool)
     finally:
         tracer.uninstall()
 
@@ -83,7 +83,7 @@ def test_layer_norm_spans_nest_in_both_sublayers(small_model):
     tracer = tracing.Tracer()
     tracer.install({"transformer": transformer})
     try:
-        _, counts, _ = transformer.encoder_forward_batch(
+        _, counts = transformer.encoder_forward_batch(
             tokens, sizes, small_model, ToMeConfig(r=5)
         )
     finally:

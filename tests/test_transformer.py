@@ -25,6 +25,7 @@ from astmerge.transformer import (
     tokens_from_spectrogram,
 )
 from astmerge.features import fit_frames
+from astmerge.pool import sample_pool
 from astmerge.tome import merge_step
 
 from conftest import random_token_sequence
@@ -73,46 +74,44 @@ def one_block_model(w, n_heads):
 def run_block(ts, model, tome):
     """All final-LayerNormed output tokens of one sequence, [n_final x d]."""
     tokens, sizes = ts
-    final, _, _ = encoder_forward_batch(tokens[None], sizes[None], model, tome)
+    final, _ = encoder_forward_batch(tokens[None], sizes[None], model, tome)
     return layer_norm(final[0], model.final_ln_gain, model.final_ln_bias)
 
 
-def encode(ts, model, tome, collect_trace=False):
-    """(final-LayerNormed [CLS] row, per-block counts, merge trace) of one
-    (tokens, sizes) sequence run as a batch of one."""
+def encode(ts, model, tome):
+    """(final-LayerNormed [CLS] row, per-block counts) of one (tokens, sizes)
+    sequence run as a batch of one."""
     tokens, sizes = ts
-    final, counts, trace = encoder_forward_batch(
-        tokens[None], sizes[None], model, tome, collect_trace
-    )
-    return layer_norm(final[0, 0], model.final_ln_gain, model.final_ln_bias), counts, trace
+    final, counts = encoder_forward_batch(tokens[None], sizes[None], model, tome)
+    return layer_norm(final[0, 0], model.final_ln_gain, model.final_ln_bias), counts
 
 
-def attention(ts, w, n_heads):
+def attention(ts, w, n_heads, pool):
     tokens, sizes = ts
-    out, keys = attention_batch(tokens[None], sizes[None], w, n_heads)
+    out, keys = attention_batch(tokens[None], sizes[None], w, n_heads, pool)
     return out[0], keys[0]
 
 
 class TestAttention:
-    def test_unit_sizes_match_naive_standard_attention(self):
+    def test_unit_sizes_match_naive_standard_attention(self, pool):
         rng = np.random.default_rng(0)
         ts = random_token_sequence(rng, 6, 12)
         w = random_block(rng, 12, 24)
-        out, keys = attention(ts, w, n_heads=2)
+        out, keys = attention(ts, w, n_heads=2, pool=pool)
         ref_out, ref_keys = naive_attention(*ts, w, 2)
         np.testing.assert_allclose(out, ref_out, atol=1e-5)
         np.testing.assert_allclose(keys, ref_keys, atol=1e-5)
 
-    def test_merged_sizes_match_naive_proportional_attention(self):
+    def test_merged_sizes_match_naive_proportional_attention(self, pool):
         rng = np.random.default_rng(1)
         sizes = np.array([1, 3, 1, 2, 5, 1], dtype=np.float32)
         ts = (rng.standard_normal((6, 12)).astype(np.float32), sizes)
         w = random_block(rng, 12, 24)
-        out, _ = attention(ts, w, n_heads=3)
+        out, _ = attention(ts, w, n_heads=3, pool=pool)
         ref_out, _ = naive_attention(ts[0], sizes, w, 3)
         np.testing.assert_allclose(out, ref_out, atol=1e-5)
 
-    def test_large_sizes_match_log_offset_softmax(self):
+    def test_large_sizes_match_log_offset_softmax(self, pool):
         """Size-weighted values and normaliser against the explicit
         softmax(q k^T / sqrt(dh) + ln s) reference, sizes up to 50."""
         rng = np.random.default_rng(20)
@@ -121,42 +120,33 @@ class TestAttention:
             sizes[n // 2] = 50.0
             ts = (rng.standard_normal((n, 24)).astype(np.float32), sizes)
             w = random_block(rng, 24, 48)
-            out, _ = attention(ts, w, n_heads=heads)
+            out, _ = attention(ts, w, n_heads=heads, pool=pool)
             ref_out, _ = naive_attention(ts[0], sizes, w, heads)
             np.testing.assert_allclose(out, ref_out, atol=1e-5)
 
-    def test_single_token_is_value_projection(self):
+    def test_single_token_is_value_projection(self, pool):
         """Softmax over one key is exactly 1, so the output reduces to the
         value path; checked bitwise against the softmax-free computation."""
         rng = np.random.default_rng(2)
         ts = random_token_sequence(rng, 1, 8)
         w = random_block(rng, 8, 16)
-        out, _ = attention(ts, w, n_heads=2)
+        out, _ = attention(ts, w, n_heads=2, pool=pool)
         h = layer_norm(ts[0], w.ln1_gain, w.ln1_bias)
         qkv = h @ w.qkv + w.qkv_bias
         v = qkv[:, 16:]
         direct = ts[0] + (v @ w.proj + w.proj_bias)
         np.testing.assert_array_equal(out, direct)
 
-    def test_returned_keys_are_head_averaged(self):
+    def test_returned_keys_are_head_averaged(self, pool):
         rng = np.random.default_rng(3)
         ts = random_token_sequence(rng, 5, 12)
         w = random_block(rng, 12, 24)
-        _, keys = attention(ts, w, n_heads=3)
+        _, keys = attention(ts, w, n_heads=3, pool=pool)
         assert keys.shape == (5, 4)
 
 
 class TestEncoderBlock:
-    def test_r0_bitwise_equals_merge_free_block(self):
-        rng = np.random.default_rng(4)
-        ts = random_token_sequence(rng, 10, 16)
-        w = random_block(rng, 16, 32)
-        model = one_block_model(w, 2)
-        with_tome = run_block(ts, model, ToMeConfig(r=0))
-        without = run_block(ts, model, None)
-        np.testing.assert_array_equal(with_tome, without)
-
-    def test_zero_weights_reduce_to_merging_only(self):
+    def test_zero_weights_reduce_to_merging_only(self, pool):
         """With all-zero weights both sub-layers contribute nothing, so the
         block output equals a bare merge of the inputs (seen through the
         final LayerNorm)."""
@@ -165,7 +155,7 @@ class TestEncoderBlock:
         model = one_block_model(zero_block(8, 16), 2)
         cfg = ToMeConfig(r=2)
         out = run_block(ts, model, cfg)
-        merged, _, _ = merge_step(ts[0][None], ts[1][None], np.zeros((1, 8, 4)), cfg)
+        merged, _, _ = merge_step(ts[0][None], ts[1][None], np.zeros((1, 8, 4)), cfg, pool)
         expected = layer_norm(merged[0], model.final_ln_gain, model.final_ln_bias)
         np.testing.assert_array_equal(out, expected)
 
@@ -181,17 +171,9 @@ class TestEncoderForward:
     def test_r0_counts_constant(self, small_model):
         rng = np.random.default_rng(7)
         ts = random_token_sequence(rng, 109, 32)
-        _, counts, _ = encode(ts, small_model, ToMeConfig(r=0))
+        _, counts = encode(ts, small_model, ToMeConfig(r=0))
         assert counts == [109] * 4
         assert counts[-1] == 109
-
-    def test_r0_bitwise_equals_merge_free_encoder(self, small_model):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            ts = random_token_sequence(rng, 109, 32)
-            a, _, _ = encode(ts, small_model, ToMeConfig(r=0))
-            b, _, _ = encode(ts, small_model, None)
-            np.testing.assert_array_equal(a, b)
 
     def test_count_trajectory_with_clamp(self):
         """12 blocks of r=10 from 109 tokens runs into the capacity clamp;
@@ -203,7 +185,7 @@ class TestEncoderForward:
         weights = generate_synthetic_model(3, cfg)
         rng = np.random.default_rng(9)
         ts = random_token_sequence(rng, 109, 16)
-        _, counts, _ = encode(ts, weights, ToMeConfig(r=10))
+        _, counts = encode(ts, weights, ToMeConfig(r=10))
         expected = count_trajectory(109, 12, 10)
         assert counts == expected
         assert expected[:4] == [109, 99, 89, 79]
@@ -229,14 +211,6 @@ class TestEncoderForward:
             sort_b = b[np.lexsort(b.T)]
             np.testing.assert_allclose(sort_a, sort_b, atol=1e-5)
 
-    def test_merge_trace_collection(self, small_model):
-        rng = np.random.default_rng(11)
-        ts = random_token_sequence(rng, 109, 32)
-        _, _, trace = encode(ts, small_model, ToMeConfig(r=8), collect_trace=True)
-        assert len(trace) == 3
-        for entry in trace:
-            assert entry.size_sum_before == entry.size_sum_after == 109.0
-
 
 class TestMergedDuplicateEquivalence:
     def test_duplicate_collapses_to_size_two_token(self):
@@ -254,12 +228,12 @@ class TestMergedDuplicateEquivalence:
             tokens = rng.standard_normal((n, 24)).astype(np.float32)
             tokens[3] = tokens[6]  # src odd (set A), dst even nonzero (set B)
             s1 = (tokens.copy(), np.ones(n, np.float32))
-            out1, _, _ = encode(s1, weights, ToMeConfig(r=1))
+            out1, _ = encode(s1, weights, ToMeConfig(r=1))
             keep = [i for i in range(n) if i != 3]
             sizes2 = np.ones(n - 1, np.float32)
             sizes2[keep.index(6)] = 2.0
             s2 = (tokens[keep].copy(), sizes2)
-            out2, _, _ = encode(s2, weights, ToMeConfig(r=0))
+            out2, _ = encode(s2, weights, ToMeConfig(r=0))
             np.testing.assert_allclose(out1, out2, atol=1e-5)
 
 
@@ -269,12 +243,10 @@ class TestBatchedPath:
         seqs = [random_token_sequence(rng, 109, 32) for _ in range(3)]
         tokens = np.stack([s[0] for s in seqs])
         sizes = np.stack([s[1] for s in seqs])
-        final, counts, _ = encoder_forward_batch(
-            tokens, sizes, small_model, ToMeConfig(r=6)
-        )
+        final, counts = encoder_forward_batch(tokens, sizes, small_model, ToMeConfig(r=6))
         cls = layer_norm(final[:, 0], small_model.final_ln_gain, small_model.final_ln_bias)
         for i, s in enumerate(seqs):
-            single, single_counts, _ = encode(s, small_model, ToMeConfig(r=6))
+            single, single_counts = encode(s, small_model, ToMeConfig(r=6))
             np.testing.assert_allclose(cls[i], single, atol=1e-5)
             assert counts == single_counts
 
@@ -329,7 +301,7 @@ class TestBlockBuffers:
         "b, n", [(3, 13), (2, 109), (5, 109), (4, 128), (1, 300)],
         ids=["Bn39", "Bn218", "Bn545", "Bn512", "one-sample-300"],
     )
-    def test_batch_rows_equal_rows_run_alone(self, b, n):
+    def test_batch_rows_equal_rows_run_alone(self, b, n, pool):
         """B·n below 256, a multiple of 256 and neither; merged sizes in all
         rows but the first, whose unit sizes take the plain-softmax path
         when run alone."""
@@ -341,33 +313,37 @@ class TestBlockBuffers:
         sizes = rng.integers(1, 4, size=(b, n)).astype(np.float32)
         sizes[0] = 1.0
         before = x.copy()
-        out, keys = attention_batch(x, sizes, w, heads)
-        mlp = mlp_batch(x, w)
+        out, keys = attention_batch(x, sizes, w, heads, pool)
+        mlp = mlp_batch(x, w, pool)
         np.testing.assert_array_equal(bits(x), bits(before))
         for i in range(b):
-            out1, keys1 = attention_batch(x[i : i + 1], sizes[i : i + 1], w, heads)
+            out1, keys1 = attention_batch(x[i : i + 1], sizes[i : i + 1], w, heads, pool)
             np.testing.assert_array_equal(bits(out[i]), bits(out1[0]))
             np.testing.assert_array_equal(bits(keys[i]), bits(keys1[0]))
-            np.testing.assert_array_equal(bits(mlp[i]), bits(mlp_batch(x[i : i + 1], w)[0]))
+            np.testing.assert_array_equal(bits(mlp[i]), bits(mlp_batch(x[i : i + 1], w, pool)[0]))
 
-    def test_peak_memory_has_no_batch_sized_temporaries(self):
-        """Desk-shaped [4 x 589 x 192] batch. Batch-wide LayerNorm, QKV and
-        context arrays would peak near 8x and 5x the input."""
+    def test_peak_memory_has_no_batch_sized_temporaries(self, pool):
+        """Desk-shaped [4 x 589 x 192] batch on one worker, its scratch
+        buffers counted. Batch-wide LayerNorm, QKV and context arrays would
+        peak near 8x and 5x the input."""
         import tracemalloc
 
         rng = np.random.default_rng(18)
         w = random_block(rng, 192, 768)
         x = rng.standard_normal((4, 589, 192)).astype(np.float32)
         sizes = np.ones((4, 589), np.float32)
-        for run, bound in ((lambda: attention_batch(x, sizes, w, 3), 4),
-                           (lambda: mlp_batch(x, w), 3)):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound * x.nbytes
+        # BLAS is pinned to one thread by ``pool``, so this pool has one worker
+        with sample_pool() as one:
+            assert one.workers == 1
+            for run, bound in ((lambda: attention_batch(x, sizes, w, 3, one), 4),
+                               (lambda: mlp_batch(x, w, one), 3)):
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound * x.nbytes
 
 
 class TestPipeline:
