@@ -88,7 +88,6 @@ class InferenceResult:
     logits: np.ndarray
     probabilities: np.ndarray
     labels: np.ndarray
-    task_kind: str
     metrics: dict[str, float]
     per_block_counts: list[int]
     final_token_counts: np.ndarray
@@ -202,7 +201,6 @@ def run_inference(
         logits=logits,
         probabilities=probs,
         labels=labels,
-        task_kind=weights.config.task_kind,
         metrics=_metrics(probs, labels, weights.config.task_kind),
         per_block_counts=counts,
         final_token_counts=np.full(specs.shape[0], counts[-1], dtype=np.int64),

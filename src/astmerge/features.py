@@ -14,7 +14,7 @@ import math
 import os
 import struct
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,11 @@ SPEC1_MAGIC = b"SPEC1"
 # Guard against float noise in duration-derived frame counts
 # (e.g. 100 * 0.16 = 16.000000000000004 must still mean 16 frames).
 _DURATION_EPS = 1e-9
+
+# Highest WAV sample rate read_wav accepts. The mel filterbank grows with the
+# rate (128 x 16385 float64, 16.8 MB, at 768 kHz); a corrupted header rate
+# would otherwise ask for gigabytes.
+MAX_SAMPLE_RATE = 768_000
 
 
 @dataclass(frozen=True)
@@ -85,17 +90,12 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass
 class Spectrogram:
-    """Log-mel matrix [n_mels x n_frames]. ``config`` is None for file loads."""
+    """Log-mel matrix [n_mels x n_frames]."""
 
     values: np.ndarray
-    config: SpectrogramConfig | None = field(default=None)
 
     @property
     def n_mels(self) -> int:
@@ -192,7 +192,7 @@ def compute_log_mel(w: Waveform, cfg: SpectrogramConfig) -> Spectrogram:
     power = np.abs(spectrum) ** 2  # [n_frames x n_bins]
     mel = power @ fb.T  # [n_frames x n_mels]
     values = np.log(mel + cfg.log_floor).T.astype(np.float32)
-    return Spectrogram(values=values, config=cfg)
+    return Spectrogram(values=values)
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -215,6 +215,8 @@ def read_wav(path: str | Path) -> Waveform:
         raise FormatError(
             f"{path}: WAV header declares {n_frames} samples, data holds {len(raw) / 2:g}"
         )
+    if sr > MAX_SAMPLE_RATE:
+        raise FormatError(f"{path}: WAV sample rate {sr} Hz exceeds {MAX_SAMPLE_RATE} Hz")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate=sr)
 

@@ -24,11 +24,30 @@ class HeadWeights:
     bias: np.ndarray  # [n_classes]
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax, stable for large logits."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis, stable for large logits."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """[n x n_classes] float64 0/1 targets from a class-index vector."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ShapeError("single-label targets must be an index vector")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ShapeError(f"label index outside [0, {n_classes})")
+    targets = np.zeros((labels.size, n_classes), dtype=np.float64)
+    targets[np.arange(labels.size), labels] = 1.0
+    return targets
+
+
+def targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """float64 targets: a class-index vector one-hot encoded, a binary
+    [n x n_classes] label matrix as given."""
+    labels = np.asarray(labels)
+    return one_hot(labels, n_classes) if labels.ndim == 1 else labels.astype(np.float64)
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .features import load_matrix, save_matrix
-from .head import TASK_KINDS, sigmoid, softmax
+from .head import TASK_KINDS, sigmoid, softmax, targets
 
 TLOG1_MAGIC = b"TLOG1"
 
@@ -47,8 +47,8 @@ class KdConfig:
 class KdBatch:
     """Student logits, frozen teacher logits, and ground-truth labels.
 
-    ``labels`` is an index vector for single-label tasks or a binary
-    [batch x classes] matrix for multi-label tasks.
+    ``labels`` is a class-index vector or a binary [batch x classes]
+    matrix; ``head.targets`` turns either into float64 targets.
     """
 
     student_logits: np.ndarray
@@ -79,34 +79,26 @@ def _bce_with_logits(z: np.ndarray, targets: np.ndarray) -> float:
     return float(raw.mean())
 
 
-def _single_label_targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ShapeError("single-label targets must be an index vector")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ShapeError(f"label index outside [0, {n_classes})")
-    onehot = np.zeros((labels.size, n_classes), dtype=np.float64)
-    onehot[np.arange(labels.size), labels] = 1.0
-    return onehot
+def _ground_truth(b: KdBatch) -> np.ndarray:
+    """The labels as float64 targets (``head.targets``), shaped like the logits."""
+    y = targets(b.labels, b.student_logits.shape[1])
+    if y.shape != b.student_logits.shape:
+        raise ShapeError(f"targets {y.shape} vs logits {b.student_logits.shape}")
+    return y
 
 
 def component_losses(b: KdBatch, cfg: KdConfig) -> tuple[float, float]:
     """(ground-truth loss, distillation loss), both lambda-independent."""
     z_s, z_t = b.student_logits, b.teacher_logits
-    n, c = z_s.shape
+    y = _ground_truth(b)
     if cfg.task_kind == "single-label":
+        n = z_s.shape[0]
         log_p = _log_softmax(z_s)
-        onehot = _single_label_targets(b.labels, c)
-        loss_g = float(-(onehot * log_p).sum() / n)
+        loss_g = float(-(y * log_p).sum() / n)
         soft = softmax(z_t / cfg.tau)
         loss_d = float(-(soft * log_p).sum() / n)
     else:
-        targets = np.asarray(b.labels, dtype=np.float64)
-        if targets.shape != z_s.shape:
-            raise ShapeError(
-                f"multi-label targets {targets.shape} vs logits {z_s.shape}"
-            )
-        loss_g = _bce_with_logits(z_s, targets)
+        loss_g = _bce_with_logits(z_s, y)
         loss_d = _bce_with_logits(z_s, sigmoid(z_t / cfg.tau))
     return loss_g, loss_d
 
@@ -125,22 +117,17 @@ def kd_loss_grad(b: KdBatch, cfg: KdConfig) -> np.ndarray:
     scaled by the same mean reduction as the loss.
     """
     z_s, z_t = b.student_logits, b.teacher_logits
+    y = _ground_truth(b)
     n, c = z_s.shape
     if cfg.task_kind == "single-label":
         p_s = softmax(z_s)
-        onehot = _single_label_targets(b.labels, c)
         p_t = softmax(z_t / cfg.tau)
         scale = 1.0 / n
     else:
         p_s = sigmoid(z_s)
-        onehot = np.asarray(b.labels, dtype=np.float64)
-        if onehot.shape != z_s.shape:
-            raise ShapeError(
-                f"multi-label targets {onehot.shape} vs logits {z_s.shape}"
-            )
         p_t = sigmoid(z_t / cfg.tau)
         scale = 1.0 / (n * c)
-    return scale * (cfg.lam * (p_s - onehot) + (1.0 - cfg.lam) * (p_s - p_t))
+    return scale * (cfg.lam * (p_s - y) + (1.0 - cfg.lam) * (p_s - p_t))
 
 
 def save_teacher_logits(path: str | Path, logits: np.ndarray) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, FormatError, ShapeError
 from .features import SpectrogramConfig
-from .head import TASK_KINDS, HeadWeights
+from .head import TASK_KINDS, HeadWeights, one_hot, targets
 from .patchify import EmbeddingWeights, PatchConfig, patch_count
 from .tome import ToMeConfig
 from .transformer import (
@@ -40,6 +40,11 @@ MODL1_VERSION = 1
 MANI1_MAGIC = "MANI1"
 
 _MASK64 = (1 << 64) - 1
+# Synthetic teacher logits: TEACHER_SCALE * target + TEACHER_NOISE_STD * noise.
+TEACHER_SCALE = 4.0
+TEACHER_NOISE_STD = 0.5
+# fit_head_probe's ridge, relative to the mean diagonal of the Gram matrix.
+PROBE_RIDGE = 1e-3
 
 
 # --------------------------------------------------------------------------
@@ -452,27 +457,18 @@ def generate_synthetic_dataset(
         )
         specs[i] = templates[class_ids[i]] + np.float32(cfg.noise_std) * noise
     if cfg.task_kind == "multi-label":
-        labels = np.zeros((n_samples, cfg.n_classes), dtype=np.float64)
-        labels[np.arange(n_samples), class_ids] = 1.0
-        return specs, labels
+        return specs, one_hot(class_ids, cfg.n_classes)
     return specs, class_ids
 
 
 def generate_synthetic_teacher_logits(
-    labels: np.ndarray, n_classes: int, seed: int, scale: float = 4.0,
-    noise_std: float = 0.5,
+    labels: np.ndarray, n_classes: int, seed: int
 ) -> np.ndarray:
     """Plausible frozen-teacher logits: scaled targets plus seeded noise."""
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    if labels.ndim == 1:
-        targets = np.zeros((n, n_classes), dtype=np.float64)
-        targets[np.arange(n), labels.astype(np.int64)] = 1.0
-    else:
-        targets = labels.astype(np.float64)
+    y = targets(labels, n_classes)
     rng = _rng(seed, stream=97)
-    noise = rng.standard_normal((n, n_classes))
-    return (scale * targets + noise_std * noise).astype(np.float32)
+    noise = rng.standard_normal((y.shape[0], n_classes))
+    return (TEACHER_SCALE * y + TEACHER_NOISE_STD * noise).astype(np.float32)
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +480,6 @@ def fit_head_probe(
     spectrograms: np.ndarray,
     labels: np.ndarray,
     batch_size: int = 16,
-    ridge: float = 1e-3,
 ) -> HeadWeights:
     """Closed-form linear probe on the frozen encoder's [CLS] embeddings.
 
@@ -497,14 +492,9 @@ def fit_head_probe(
     x = np.concatenate(
         [cls.astype(np.float64), np.ones((cls.shape[0], 1))], axis=1
     )
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        y = np.zeros((labels.size, weights.config.n_classes))
-        y[np.arange(labels.size), labels.astype(np.int64)] = 1.0
-    else:
-        y = labels.astype(np.float64)
+    y = targets(labels, weights.config.n_classes)
     gram = x.T @ x
-    alpha = ridge * np.trace(gram) / gram.shape[0]
+    alpha = PROBE_RIDGE * np.trace(gram) / gram.shape[0]
     coef = np.linalg.solve(gram + alpha * np.eye(gram.shape[0]), x.T @ y)
     return HeadWeights(
         linear=coef[:-1].astype(np.float32), bias=coef[-1].astype(np.float32)

@@ -1,14 +1,15 @@
 """Bipartite soft matching token merging, on a whole batch at once.
 
 One merge step removes up to r tokens from every sequence: partition each
-sequence into two alternating sets A and B, draw an edge from each A token
-to its most similar B token (cosine over attention keys), keep the r
-highest-scoring edges, and fold each kept source into its destination by a
-size-weighted mean. B tokens never disappear, so placing [CLS] in B protects
-it while still letting it absorb merges. All tie-breaks are lowest-index-first
-and the surviving tokens keep their original relative order, which keeps
-[CLS] at index 0. Every sequence of a batch shares n and r, so the batch
-stays rectangular, and each row comes out exactly as it would alone.
+sequence into the odd positions A and the even positions B, draw an edge
+from each A token to its most similar B token (cosine over attention keys),
+keep the r highest-scoring edges, and fold each kept source into its
+destination by a size-weighted mean. B tokens never disappear, so [CLS] at
+index 0 is never merged away but still absorbs merges. All tie-breaks are
+lowest-index-first and the surviving tokens keep their original relative
+order, which keeps [CLS] at index 0. Every sequence of a batch shares n and
+r, so the batch stays rectangular, and each row comes out exactly as it
+would alone.
 """
 
 from __future__ import annotations
@@ -23,22 +24,20 @@ from .pool import SamplePool
 
 @dataclass(frozen=True)
 class ToMeConfig:
-    """``r`` tokens are removed per block, clamped to the merge capacity."""
+    """``r`` tokens are removed per block, clamped to the merge capacity;
+    [CLS] is always kept."""
 
     r: int = 0
-    protect_cls: bool = True
 
     def __post_init__(self) -> None:
         if self.r < 0:
             raise ConfigError(f"reduction factor r must be >= 0, got {self.r}")
 
 
-def merge_capacity(n_tokens: int, protect_cls: bool) -> int:
-    """Most tokens one step may remove: |A|, and at least one non-protected
-    token (plus [CLS] when protected) must survive."""
-    n_a = n_tokens // 2 if protect_cls else (n_tokens + 1) // 2
-    floor = 2 if protect_cls else 1
-    return max(0, min(n_a, n_tokens - floor))
+def merge_capacity(n_tokens: int) -> int:
+    """Most tokens one step may remove: |A|, and [CLS] plus at least one
+    other token must survive."""
+    return max(0, min(n_tokens // 2, n_tokens - 2))
 
 
 def merge_step(
@@ -61,20 +60,18 @@ def merge_step(
             "do not describe the same [B x n] sequences"
         )
     b, n, d = tokens.shape
-    r = min(cfg.r, merge_capacity(n, cfg.protect_cls))
+    r = min(cfg.r, merge_capacity(n))
     if r <= 0:
         return tokens, sizes, None
-    # Alternating split A = a0::2, B = b0::2; with protection the parity
-    # flips so [CLS] lands in B.
-    a0, b0 = (1, 0) if cfg.protect_cls else (0, 1)
 
+    # A = 1::2 are the sources, B = 0::2 the destinations, [CLS] among them.
     # Cosine similarity in float64 so edge ranking is stable against float32
     # round-off; zero-norm keys score the sentinel -1 behind every real match.
     # One sample at a time, split over the workers of ``pool``: the float64
     # working set stays cache-sized and no batch-sized temporary is made.
     # The pool comes from ``sample_pool``, whose one-thread BLAS keeps the
     # similarity bits independent of the BLAS thread count.
-    n_a = len(range(a0, n, 2))
+    n_a = n // 2
     best_b = np.empty((b, n_a), dtype=np.intp)
     best_sim = np.empty((b, n_a))
 
@@ -84,16 +81,16 @@ def merge_step(
             norms = np.sqrt(np.einsum("ij,ij->i", k64, k64))
             zero = norms == 0.0
             norms[zero] = 1.0
-            sim = (k64[a0::2] / norms[a0::2, None]) @ (k64[b0::2] / norms[b0::2, None]).T
-            sim[zero[a0::2]] = -1.0
-            sim[:, zero[b0::2]] = -1.0
+            sim = (k64[1::2] / norms[1::2, None]) @ (k64[0::2] / norms[0::2, None]).T
+            sim[zero[1::2]] = -1.0
+            sim[:, zero[0::2]] = -1.0
             best_b[i] = sim.argmax(axis=1)  # first max: lowest B position on ties
             best_sim[i] = sim[np.arange(n_a), best_b[i]]
 
     pool.split(score, b)
     order = np.argsort(-best_sim, axis=1, kind="stable")[:, :r]  # lower A first
-    src = 2 * order + a0
-    dst = 2 * np.take_along_axis(best_b, order, axis=1) + b0
+    src = 2 * order + 1
+    dst = 2 * np.take_along_axis(best_b, order, axis=1)
     edges = (src, dst, np.take_along_axis(best_sim, order, axis=1))
 
     # Fold sources into destinations on flattened b*n + index rows: x_d

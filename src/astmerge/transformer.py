@@ -355,11 +355,11 @@ def forward_spectrograms(
 
 
 def count_trajectory(n_tokens: int, depth: int, r: int) -> list[int]:
-    """Predicted token counts entering each block plus the final count, with
-    [CLS] protected as ``ToMeConfig`` protects it by default."""
+    """Predicted token counts entering each block plus the final count:
+    each block removes min(r, merge_capacity(n)), [CLS] never among them."""
     counts = [n_tokens]
     n = n_tokens
     for _ in range(depth):
-        n -= min(r, merge_capacity(n, True))
+        n -= min(r, merge_capacity(n))
         counts.append(n)
     return counts

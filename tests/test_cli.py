@@ -34,6 +34,23 @@ MODL1_FIELDS = [
     *((None, k) for k in ("model", "spectrogram", "patch", "norm_mean", "norm_std", "tensors")),
 ]
 
+# Binary input header fields as (format, field, offset, struct layout, wrong
+# values). The workspace's SPEC1 clips are 128 x 16 and its TLOG1 teacher
+# logits 6 x 3; a swapped pair keeps the payload size right. The WAV clip
+# holds 2560 samples (5120 data bytes) at 16 kHz.
+HEADER_FIELDS = [
+    ("SPEC1", "rows", 5, "<I", [(0,), (127,), (129,), (0xFFFFFFFF,)]),
+    ("SPEC1", "cols", 9, "<I", [(0,), (15,), (17,), (0xFFFFFFFF,)]),
+    ("SPEC1", "rows+cols", 5, "<II", [(16, 128)]),
+    ("TLOG1", "rows", 5, "<I", [(0,), (5,), (7,), (0xFFFFFFFF,)]),
+    ("TLOG1", "cols", 9, "<I", [(0,), (2,), (4,), (0xFFFFFFFF,)]),
+    ("TLOG1", "rows+cols", 5, "<II", [(3, 6)]),
+    ("WAV", "channels", 22, "<H", [(0,), (2,)]),
+    ("WAV", "rate", 24, "<I", [(0,), (1,), (0xFFFFFFFF,)]),
+    ("WAV", "bits", 34, "<H", [(0,), (8,), (24,)]),
+    ("WAV", "data-length", 40, "<I", [(0,), (5122,), (0xFFFFFFFF,)]),
+]
+
 # (tensor name, axis) for every axis of every tensor of a depth-1 model.
 DEPTH1_TENSOR_AXES = [
     (name, axis)
@@ -430,12 +447,10 @@ class TestErrorReporting:
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
         assert "bad.wav" in err
 
-    @pytest.mark.parametrize("fmt", ["MODL1", "SPEC1", "TLOG1", "MANI1", "WAV"])
-    def test_truncated_input_fails_closed(self, workspace, capsys, fmt):
-        """Each input cut at every offset up to the end of its header (every
-        offset of the whole file for the JSON-lines MANI1): bench exits 2
-        with exactly one error line. A MANI1 cut on a line boundary that
-        keeps an entry is a valid shorter manifest and exits 0."""
+    @staticmethod
+    def bench_input(workspace, fmt):
+        """(the file of format ``fmt`` that a bench run reads, the length of
+        its header, the bench argv). The whole MANI1 file counts as header."""
         from astmerge.features import Waveform, write_wav
 
         tmp, model, manifest, teacher = workspace
@@ -457,8 +472,24 @@ class TestErrorReporting:
             ]) + "\n")
         else:
             target, header_end = manifest, len(manifest.read_bytes()) - 1
-        data = target.read_bytes()
         argv = ["bench", "--model", str(model), "--manifest", str(manifest), "--r", "0", *extra]
+        return target, header_end, argv
+
+    @staticmethod
+    def assert_one_error_line(code, err, case):
+        assert code == 2, case
+        assert re.fullmatch(r"error:(config|shape|format|alignment|io): [^\n]+\n", err), (
+            case, err,
+        )
+
+    @pytest.mark.parametrize("fmt", ["MODL1", "SPEC1", "TLOG1", "MANI1", "WAV"])
+    def test_truncated_input_fails_closed(self, workspace, capsys, fmt):
+        """Each input cut at every offset up to the end of its header (every
+        offset of the whole file for the JSON-lines MANI1): bench exits 2
+        with exactly one error line. A MANI1 cut on a line boundary that
+        keeps an entry is a valid shorter manifest and exits 0."""
+        target, header_end, argv = self.bench_input(workspace, fmt)
+        data = target.read_bytes()
         valid = []
         for cut in range(header_end + 1):
             target.write_bytes(data[:cut])
@@ -469,12 +500,29 @@ class TestErrorReporting:
                 assert (code, err) == (0, ""), (cut, err)
                 valid.append(cut)
                 continue
-            assert code == 2, cut
-            assert re.fullmatch(r"error:(config|shape|format|alignment|io): [^\n]+\n", err), (
-                cut, err,
-            )
+            self.assert_one_error_line(code, err, cut)
         # 6 entries: before and after each entry's newline, bar the whole file
         assert len(valid) == (11 if fmt == "MANI1" else 0)
+
+    @pytest.mark.parametrize(
+        "fmt, offset, layout, values",
+        [
+            pytest.param(fmt, offset, layout, v, id=f"{fmt}-{field}-{','.join(map(str, v))}")
+            for fmt, field, offset, layout, wrong in HEADER_FIELDS
+            for v in wrong
+        ],
+    )
+    def test_corrupt_header_field_fails_closed(
+        self, workspace, capsys, fmt, offset, layout, values
+    ):
+        """One header field of an input set to a wrong value: bench exits 2
+        with exactly one error line."""
+        target, _, argv = self.bench_input(workspace, fmt)
+        data = bytearray(target.read_bytes())
+        struct.pack_into(layout, data, offset, *values)
+        target.write_bytes(data)
+        code = main(argv)
+        self.assert_one_error_line(code, capsys.readouterr().err, (offset, values))
 
     @pytest.mark.parametrize("paths", [["00000.spec", "narrow.spec"], ["narrow.spec"]],
                              ids=["mixed-mel-counts", "only-wrong-mel-count"])

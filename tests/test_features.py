@@ -20,6 +20,7 @@ from astmerge import (
     save_spec,
 )
 from astmerge.features import (
+    MAX_SAMPLE_RATE,
     fit_frames,
     frames_for_duration,
     mel_filterbank,
@@ -199,6 +200,15 @@ class TestWav:
         assert back.sample_rate == SR
         assert back.samples.size == w.samples.size
         assert np.max(np.abs(back.samples - w.samples)) <= 1.0 / 32767
+
+    def test_sample_rate_ceiling(self, tmp_path):
+        """The highest allowed rate reads; one more is a format error."""
+        p = tmp_path / "x.wav"
+        write_wav(p, Waveform(samples=np.zeros(8), sample_rate=MAX_SAMPLE_RATE))
+        assert read_wav(p).sample_rate == MAX_SAMPLE_RATE
+        write_wav(p, Waveform(samples=np.zeros(8), sample_rate=MAX_SAMPLE_RATE + 1))
+        with pytest.raises(FormatError, match="sample rate"):
+            read_wav(p)
 
 
 class TestFitFrames:

@@ -7,7 +7,7 @@ import pytest
 
 from astmerge import ConfigError, HeadWeights, ShapeError, accuracy, mean_average_precision
 from astmerge.bench import _predict
-from astmerge.head import argmax_in_positives, average_precision, softmax
+from astmerge.head import argmax_in_positives, average_precision, one_hot, softmax, targets
 
 from oracles import ap_reference, map_reference
 
@@ -62,6 +62,26 @@ class TestClassify:
         short_bias = HeadWeights(linear=w.linear, bias=w.bias[:1])
         with pytest.raises(ShapeError):
             _predict(short_bias, "single-label", np.zeros((4, 3), np.float32))
+
+
+class TestOneHot:
+    def test_rows_are_float64_indicators(self):
+        t = one_hot(np.array([2, 0, 2]), 3)
+        assert t.dtype == np.float64
+        np.testing.assert_array_equal(t, [[0, 0, 1], [1, 0, 0], [0, 0, 1]])
+        assert one_hot(np.zeros(0, np.int64), 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [[0, 1, 0]]])
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(ShapeError):
+            one_hot(np.array(labels), 3)
+
+    def test_targets_encode_indices_and_pass_label_matrices(self):
+        matrix = np.array([[1, 0, 1], [0, 0, 0]], np.int8)
+        np.testing.assert_array_equal(targets(np.array([1, 0]), 3), one_hot(np.array([1, 0]), 3))
+        got = targets(matrix, 3)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, matrix)
 
 
 class TestAccuracy:

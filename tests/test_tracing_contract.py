@@ -65,7 +65,7 @@ def test_counters_read_real_calls(tiny_model, pool):
             counts.setdefault(span.name, []).append(span.counts)
     assert counts["transformer.attention_batch"] == [{"tokens": b * n}]
     assert counts["transformer._merge_batch"] == [
-        {"removed": b * min(r, merge_capacity(n, True)), "requested": b * r}
+        {"removed": b * min(r, merge_capacity(n)), "requested": b * r}
         for r in r_values
     ]
 
