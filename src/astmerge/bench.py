@@ -1,13 +1,14 @@
 """Inference runner, r-sweep throughput harness, and report emission.
 
 A sweep row measures one reduction factor: the manifest is preloaded into
-memory, the timed region covers patchify + encoder + head over the whole
-set (every r's warmup passes first, then the measured passes round-robin
-over r, median per r reported), and the metric drop is taken against the
-r = 0 row. Everything except wall-clock timings is bit-reproducible for
-fixed inputs. ``threads`` sizes the encoder's one sample pool, which has
-max(threads, BLAS pool size) workers while BLAS runs one thread inside the
-forward; worker and BLAS thread counts change timings but never results.
+memory, the timed region is one ``run_inference`` call over the whole set
+(label check, patchify + encoder + head, metrics; every r's warmup passes
+first, then the measured passes round-robin over r, median per r reported),
+and the metric drop is taken against the r = 0 row. Everything except
+wall-clock timings is bit-reproducible for fixed inputs. ``threads`` sizes
+the encoder's one sample pool, which has max(threads, BLAS pool size)
+workers while BLAS runs one thread inside the forward; worker and BLAS
+thread counts change timings but never results.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _forward_all(
     batch_size: int,
     threads: int,
 ) -> tuple[np.ndarray, list[int]]:
-    """The one encoder pass of run_inference and of each sweep pass.
+    """The one encoder pass of run_inference.
 
     perfbench/tracing.py times it by this name; ``threads`` sizes the
     encoder's sample pool.
@@ -220,40 +221,35 @@ def benchmark_throughput(
     """
     if 0 not in cfg.r_values:
         raise ConfigError("r sweep must include r = 0; the drop column needs it")
-    labels = _labels(manifest, weights)
+    _labels(manifest, weights)  # a misaligned manifest fails before any clip is read
     specs = inputs if inputs is not None else load_inputs(manifest, weights)
-    task = weights.config.task_kind
-    metric_name = "accuracy" if task == "single-label" else "map"
-    n = specs.shape[0]
+    metric_name = "accuracy" if weights.config.task_kind == "single-label" else "map"
 
     r_values = sorted(set(cfg.r_values))
     timings: dict[int, list[float]] = {r: [] for r in r_values}
-    outputs: dict[int, tuple[np.ndarray, list[int]]] = {}
+    results: dict[int, InferenceResult] = {}
     # Every r is warmed up first; the measured passes then cycle through r,
     # so a drift in machine speed is shared by all rows, not borne by one r.
-    for run in range(cfg.warmup_runs + cfg.measured_runs):
+    for _ in range(cfg.warmup_runs + cfg.measured_runs):
         for r in r_values:
             t0 = time.perf_counter()
-            cls, counts = _forward_all(
-                weights, specs, ToMeConfig(r=r), cfg.batch_size, cfg.threads
+            results[r] = run_inference(
+                weights, manifest, r, cfg.batch_size, cfg.threads, inputs=specs
             )
-            if run >= cfg.warmup_runs:
-                _, probs = _predict(weights.head, task, cls)
-                timings[r].append(time.perf_counter() - t0)
-                outputs[r] = (probs, counts)
+            timings[r].append(time.perf_counter() - t0)
 
     workers, blas_entry = pool_plan(cfg.threads)
     rows = []
     for r in r_values:
-        probs, counts = outputs[r]
-        metric = _metrics(probs, labels, task)[metric_name]
+        metric = results[r].metrics[metric_name]
+        seconds = median(timings[r][cfg.warmup_runs:])
         rows.append(
             SweepRow(
                 r=r,
                 metric=metric,
                 drop=metric - rows[0].metric if rows else 0.0,  # first row is r = 0
-                samples_per_second=n / median(timings[r]),
-                final_token_count=counts[-1],
+                samples_per_second=specs.shape[0] / seconds,
+                final_token_count=results[r].per_block_counts[-1],
                 thread_count=cfg.threads,
                 workers=workers,
                 blas_pinned=blas_entry > 1,
@@ -318,37 +314,31 @@ def kd_eval(
             f"teacher logits are {teacher.shape[0]} samples x {teacher.shape[1]} "
             f"classes, manifest/model expect {n} x {c}"
         )
-    labels = result.labels
-    full = KdBatch(
-        student_logits=result.logits, teacher_logits=teacher, labels=labels
-    )
-    loss_g, loss_d = component_losses(full, kd_cfg)
-    per_batch = []
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        bg, bd = component_losses(
+
+    def losses(sl: slice) -> dict[str, float]:
+        loss_g, loss_d = component_losses(
             KdBatch(
                 student_logits=result.logits[sl],
                 teacher_logits=teacher[sl],
-                labels=labels[sl],
+                labels=result.labels[sl],
             ),
             kd_cfg,
         )
-        per_batch.append(
-            {
-                "start": start,
-                "size": sl.stop - start,
-                "loss": kd_cfg.lam * bg + (1.0 - kd_cfg.lam) * bd,
-                "loss_g": bg,
-                "loss_d": bd,
-            }
-        )
+        return {
+            "loss": kd_cfg.lam * loss_g + (1.0 - kd_cfg.lam) * loss_d,
+            "loss_g": loss_g,
+            "loss_d": loss_d,
+        }
+
+    per_batch = [
+        {"start": start, "size": min(batch_size, n - start)}
+        | losses(slice(start, start + batch_size))
+        for start in range(0, n, batch_size)
+    ]
     return {
         "lambda": kd_cfg.lam,
         "tau": kd_cfg.tau,
         "r": r,
-        "loss": kd_cfg.lam * loss_g + (1.0 - kd_cfg.lam) * loss_d,
-        "loss_g": loss_g,
-        "loss_d": loss_d,
+        **losses(slice(None)),
         "per_batch": per_batch,
     }

@@ -412,6 +412,10 @@ class SyntheticDataConfig:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
         if self.noise_std < 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.task_kind not in TASK_KINDS:
+            raise ConfigError(
+                f"task_kind must be one of {TASK_KINDS}, got {self.task_kind!r}"
+            )
 
     @property
     def n_frames(self) -> int:

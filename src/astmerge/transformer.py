@@ -65,10 +65,6 @@ class ModelConfig:
             )
 
     @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.n_heads
-
-    @property
     def hidden_dim(self) -> int:
         return int(round(self.mlp_ratio * self.embed_dim))
 

@@ -11,13 +11,17 @@ from astmerge import (
     BenchConfig,
     ConfigError,
     DatasetManifest,
+    KdBatch,
     KdConfig,
+    ModelConfig,
     Spectrogram,
     SweepResult,
     ToMeConfig,
     benchmark_throughput,
     count_trajectory,
+    generate_synthetic_model,
     kd_eval,
+    kd_loss,
     run_inference,
     save_manifest,
     save_spec,
@@ -26,6 +30,7 @@ from astmerge import (
 )
 from astmerge.bench import load_inputs, parse_sweep_report
 from astmerge.features import write_wav, Waveform
+from astmerge.kd import component_losses
 from astmerge.model_io import SyntheticDataConfig, generate_synthetic_dataset
 from astmerge.transformer import forward_spectrograms
 
@@ -160,6 +165,33 @@ class TestBenchmark:
         assert sorted(calls[:6]) == [0, 0, 2, 2, 4, 4]
         assert calls[6:] == [0, 2, 4] * 3
 
+    @pytest.mark.parametrize(
+        "task, metric_name", [("single-label", "accuracy"), ("multi-label", "map")]
+    )
+    def test_sweep_rows_match_run_inference(self, tmp_path, task, metric_name):
+        """Each row scores exactly what one run_inference call at its r does."""
+        weights = generate_synthetic_model(0, ModelConfig(
+            depth=1, embed_dim=16, n_heads=2, mlp_ratio=2.0,
+            clip_seconds=0.16, n_classes=3, task_kind=task,
+        ))
+        specs, labels = generate_synthetic_dataset(0, 9, SyntheticDataConfig(
+            n_classes=3, clip_seconds=0.16, noise_std=0.4, task_kind=task,
+        ))
+        entries = []
+        for i in range(9):
+            save_spec(tmp_path / f"{i}.spec", Spectrogram(values=specs[i]))
+            entries.append((f"{i}.spec", labels[i].tolist()))
+        manifest = DatasetManifest(
+            entries=entries, task_kind=task, clip_seconds=0.16, base_dir=tmp_path
+        )
+        cfg = BenchConfig(r_values=(0, 2), batch_size=4, warmup_runs=0)
+        result = benchmark_throughput(weights, manifest, cfg)
+        assert result.metric_name == metric_name
+        for row in result.rows:
+            single = run_inference(weights, manifest, row.r, batch_size=4)
+            assert row.metric == single.metrics[metric_name]
+            assert row.drop == row.metric - result.rows[0].metric
+
     def test_sweep_without_r0_rejected(self, tiny_model, tiny_dataset_dir):
         _, manifest, _, _ = tiny_dataset_dir
         with pytest.raises(ConfigError, match="r = 0"):
@@ -239,3 +271,25 @@ class TestKdEval:
             0.1 * report["loss_g"] + 0.9 * report["loss_d"], abs=1e-12
         )
         assert len(report["per_batch"]) == math.ceil(9 / 16)
+
+    def test_per_batch_rows_score_each_slice(self, tmp_path, tiny_model, tiny_dataset_dir):
+        _, manifest, _, _ = tiny_dataset_dir
+        rng = np.random.default_rng(2)
+        teacher = rng.standard_normal((9, 3)).astype(np.float32)
+        tl = tmp_path / "teacher.tlog"
+        save_teacher_logits(tl, teacher)
+        result = run_inference(tiny_model, manifest, r=1)
+        kd_cfg = KdConfig(lam=0.3, tau=2.0)
+        report = kd_eval(result, tl, kd_cfg, r=1, batch_size=4)
+        rows = report["per_batch"]
+        assert [row["start"] for row in rows] == [0, 4, 8]
+        assert [row["size"] for row in rows] == [4, 4, 1]
+        for row in rows:
+            sl = slice(row["start"], row["start"] + row["size"])
+            batch = KdBatch(
+                student_logits=result.logits[sl],
+                teacher_logits=teacher[sl],
+                labels=result.labels[sl],
+            )
+            assert row["loss"] == kd_loss(batch, kd_cfg)
+            assert (row["loss_g"], row["loss_d"]) == component_losses(batch, kd_cfg)

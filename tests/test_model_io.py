@@ -22,7 +22,7 @@ from astmerge import (
     save_manifest,
     save_model,
 )
-from astmerge.errors import AlignmentError, ShapeError
+from astmerge.errors import AlignmentError, ConfigError, ShapeError
 from astmerge.head import softmax
 from astmerge.model_io import (
     _MODL1_HEADER,
@@ -188,6 +188,12 @@ class TestSyntheticDataset:
         _, labels = generate_synthetic_dataset(2, 6, cfg)
         assert labels.shape == (6, 3)
         np.testing.assert_array_equal(labels.sum(axis=1), np.ones(6))
+
+    @pytest.mark.parametrize("task_kind", ["multi_label", "", "Single-label"])
+    def test_unknown_task_kind_rejected(self, task_kind):
+        # a misspelt kind must not fall back to single-label index labels
+        with pytest.raises(ConfigError, match="task_kind"):
+            SyntheticDataConfig(task_kind=task_kind, clip_seconds=0.16)
 
 
 class TestManifest:

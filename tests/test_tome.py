@@ -37,8 +37,7 @@ class TestPartition:
         assert 0 not in [s for s, _, _ in edges]
 
     @pytest.mark.parametrize("n", range(2, 12))
-    @pytest.mark.parametrize("protect", [True])
-    def test_partition_is_balanced_and_covers(self, n, protect, pool):
+    def test_partition_is_balanced_and_covers(self, n, pool):
         rng = np.random.default_rng(n)
         cfg = ToMeConfig(r=n)
         out, _, edges = merge_one(pool, np.zeros((n, 1)), rng.standard_normal((n, 3)), cfg)
@@ -263,8 +262,7 @@ class TestFold:
 
 
 class TestConservationLaws:
-    @pytest.mark.parametrize("protect", [True])
-    def test_count_mass_centroid(self, protect, pool):
+    def test_count_mass_centroid(self, pool):
         rng = np.random.default_rng(4)
         for trial in range(60):
             n = int(rng.integers(2, 24))
@@ -285,8 +283,7 @@ class TestConservationLaws:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("protect", [True])
-    def test_small_sequences_match_brute_force(self, protect, pool):
+    def test_small_sequences_match_brute_force(self, pool):
         rng = np.random.default_rng(5)
         for trial in range(240):
             n = int(rng.integers(2, 9))
@@ -297,7 +294,7 @@ class TestOracleEquivalence:
             keys = rng.standard_normal((n, d))
             out, out_sizes, edges = merge_one(pool, tokens, keys, ToMeConfig(r=r), sizes=sizes)
             ref_tokens, ref_sizes, ref_edges = brute_force_merge(
-                tokens, sizes, keys, r, protect
+                tokens, sizes, keys, r, protect_cls=True
             )
             assert [(s, t) for s, t, _ in edges] == [(s, t) for s, t, _ in ref_edges]
             np.testing.assert_allclose(out, ref_tokens, atol=1e-6)
