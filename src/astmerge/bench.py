@@ -40,6 +40,11 @@ from .transformer import ModelWeights, forward_spectrograms
 DEFAULT_R_SWEEP = (0, 5, 10, 15, 20, 25, 30, 35, 40)
 
 
+def _check_run_settings(batch_size: int, threads: int) -> None:
+    if batch_size < 1 or threads < 1:
+        raise ConfigError("batch_size and threads must be >= 1")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     r_values: tuple[int, ...] = DEFAULT_R_SWEEP
@@ -59,8 +64,7 @@ class BenchConfig:
             )
         if self.warmup_runs < 0:
             raise ConfigError(f"warmup_runs must be >= 0, got {self.warmup_runs}")
-        if self.batch_size < 1 or self.threads < 1:
-            raise ConfigError("batch_size and threads must be >= 1")
+        _check_run_settings(self.batch_size, self.threads)
 
 
 @dataclass
@@ -193,6 +197,7 @@ def run_inference(
     inputs: np.ndarray | None = None,
 ) -> InferenceResult:
     """Deterministic predictions plus metrics for one reduction factor."""
+    _check_run_settings(batch_size, threads)
     labels = _labels(manifest, weights)
     specs = inputs if inputs is not None else load_inputs(manifest, weights)
     tome = ToMeConfig(r=r)
@@ -286,15 +291,6 @@ def sweep_report(result: SweepResult) -> tuple[str, str]:
             f"{row.samples_per_second!r},{row.final_token_count}"
         )
     return json_text, "\n".join(lines) + "\n"
-
-
-def parse_sweep_report(json_text: str) -> SweepResult:
-    doc = json.loads(json_text)
-    return SweepResult(
-        metric_name=doc["metric_name"],
-        rows=[SweepRow(**row) for row in doc["rows"]],
-        batch_size=doc["batch_size"],
-    )
 
 
 def kd_eval(

@@ -20,11 +20,12 @@ import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, FormatError, ShapeError
-from .features import SpectrogramConfig
+from .features import SpectrogramConfig, frames_for_duration
 from .head import TASK_KINDS, HeadWeights, one_hot, targets
 from .patchify import EmbeddingWeights, PatchConfig, patch_count
 from .tome import ToMeConfig
@@ -116,12 +117,64 @@ def _assemble(tensors: dict[str, np.ndarray], **fields) -> ModelWeights:
     )
 
 
+# The JSON types a field of each annotated type accepts, matched exactly:
+# json.loads yields only these, so a bool is never a number.
+_NUM = (int, float)
+_JSON_TYPES = {int: (int,), float: _NUM, str: (str,), type(None): (type(None),)}
+_ANY_JSON = (dict, list, str, int, float, bool, type(None))
+# Each MODL1 config section: its ModelWeights attribute and config class.
+_SECTIONS = {
+    "model": ("config", ModelConfig),
+    "spectrogram": ("spec_config", SpectrogramConfig),
+    "patch": ("patch_config", PatchConfig),
+}
+
+
+def _json_fields(cls: type) -> dict[str, tuple[type, ...]]:
+    """Each dataclass field of ``cls`` with the JSON types it accepts: a
+    ``float`` takes any number and ``X | None`` also null."""
+    return {
+        name: tuple(t for arg in (get_args(hint) or (hint,)) for t in _JSON_TYPES[arg])
+        for name, hint in get_type_hints(cls).items()
+    }
+
+
+# Every MODL1 header field load_model reads; other keys are ignored.
+_MODL1_HEADER = {
+    **{name: _json_fields(cls) for name, (_, cls) in _SECTIONS.items()},
+    "norm_mean": _NUM,
+    "norm_std": _NUM,
+    "tensors": (list,),
+}
+_MANI1_HEADER = {"magic": (str,), "task_kind": (str,), "clip_seconds": _NUM}
+_MANI1_ENTRY = {"path": (str,), "label": _ANY_JSON}
+
+
+def _check_fields(
+    path: str | Path, obj: object, schema: dict, what: str, prefix: str = ""
+) -> None:
+    """Raise FormatError naming the first ``schema`` field that ``obj`` (the
+    file's ``what``, say "manifest line 3") lacks or holds with the wrong
+    JSON type; a nested schema checks a nested object."""
+    if type(obj) is not dict:
+        where = f" field {prefix[:-1]!r}" if prefix else ""
+        raise FormatError(f"{path}: {what}{where} is not a JSON object")
+    for key, kind in schema.items():
+        name = prefix + key
+        if key not in obj:
+            raise FormatError(f"{path}: {what} lacks field {name!r}")
+        if isinstance(kind, dict):
+            _check_fields(path, obj[key], kind, what, name + ".")
+        elif type(obj[key]) not in kind:
+            raise FormatError(
+                f"{path}: {what} field {name!r} has the wrong type: {obj[key]!r}"
+            )
+
+
 def save_model(path: str | Path, w: ModelWeights) -> None:
     table = _tensor_table(w)
     header = {
-        "model": asdict(w.config),
-        "spectrogram": asdict(w.spec_config),
-        "patch": asdict(w.patch_config),
+        **{name: asdict(getattr(w, attr)) for name, (attr, _) in _SECTIONS.items()},
         "norm_mean": w.norm_mean,
         "norm_std": w.norm_std,
         "tensors": [
@@ -135,44 +188,6 @@ def save_model(path: str | Path, w: ModelWeights) -> None:
         f.write(blob)
         for _, t in table:
             f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
-
-
-_NUM = (int, float)
-# Every MODL1 header field load_model reads, with the JSON types it accepts.
-# Each config section holds its dataclass's fields; other keys are ignored.
-_MODL1_HEADER = {
-    "model": {
-        "depth": int, "embed_dim": int, "n_heads": int, "mlp_ratio": _NUM,
-        "clip_seconds": _NUM, "n_classes": int, "task_kind": str,
-    },
-    "spectrogram": {
-        "n_mels": int, "frames_per_second": int, "window_length_ms": _NUM,
-        "hop_length_ms": _NUM, "fft_size": (int, type(None)), "mel_fmin": _NUM,
-        "mel_fmax": (*_NUM, type(None)), "log_floor": _NUM,
-    },
-    "patch": {"patch_size": int, "stride": int},
-    "norm_mean": _NUM,
-    "norm_std": _NUM,
-    "tensors": list,
-}
-
-
-def _check_header(path: str | Path, header: object, schema: dict, prefix: str = "") -> None:
-    """Raise FormatError naming the first ``schema`` field that ``header``
-    lacks or holds with the wrong JSON type."""
-    if not isinstance(header, dict):
-        where = f"header field {prefix[:-1]!r}" if prefix else "header"
-        raise FormatError(f"{path}: MODL1 {where} is not a JSON object")
-    for key, kind in schema.items():
-        name = prefix + key
-        if key not in header:
-            raise FormatError(f"{path}: MODL1 header lacks field {name!r}")
-        if isinstance(kind, dict):
-            _check_header(path, header[key], kind, name + ".")
-        elif isinstance(header[key], bool) or not isinstance(header[key], kind):
-            raise FormatError(
-                f"{path}: MODL1 header field {name!r} has the wrong type: {header[key]!r}"
-            )
 
 
 def load_model(path: str | Path) -> ModelWeights:
@@ -190,15 +205,10 @@ def load_model(path: str | Path) -> ModelWeights:
         header = json.loads(data[10 : 10 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: undecodable MODL1 header: {e}") from e
-    _check_header(path, header, _MODL1_HEADER)
-
-    def section(name: str, cls: type):
-        return cls(**{key: header[name][key] for key in _MODL1_HEADER[name]})
-
+    _check_fields(path, header, _MODL1_HEADER, "MODL1 header")
     configs = {
-        "config": section("model", ModelConfig),
-        "spec_config": section("spectrogram", SpectrogramConfig),
-        "patch_config": section("patch", PatchConfig),
+        attr: cls(**{key: header[name][key] for key in _MODL1_HEADER[name]})
+        for name, (attr, cls) in _SECTIONS.items()
     }
     layout = _layout(**configs)
     declared: dict[str, tuple[int, ...]] = {}
@@ -282,32 +292,16 @@ class DatasetManifest:
 
 
 def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:
-    lines = [
-        json.dumps(
-            {
-                "magic": MANI1_MAGIC,
-                "task_kind": manifest.task_kind,
-                "clip_seconds": manifest.clip_seconds,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
+    rows = [{"magic": MANI1_MAGIC, "task_kind": manifest.task_kind,
+             "clip_seconds": manifest.clip_seconds}]
     for entry_path, label in manifest.entries:
-        if isinstance(label, np.ndarray):
-            label_value = label.tolist()
-        elif isinstance(label, np.generic):
-            label_value = label.item()
-        else:
-            label_value = label
-        lines.append(
-            json.dumps(
-                {"path": entry_path, "label": label_value},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if isinstance(label, (np.ndarray, np.generic)):
+            label = label.tolist()  # plain JSON numbers
+        rows.append({"path": entry_path, "label": label})
+    Path(path).write_text(
+        "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows),
+        encoding="utf-8",
+    )
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -322,18 +316,15 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: manifest header is not JSON: {e}") from e
-    if header.get("magic") != MANI1_MAGIC:
+    _check_fields(path, header, _MANI1_HEADER, "manifest header")
+    if header["magic"] != MANI1_MAGIC:
         raise FormatError(
-            f"{path}: bad magic {header.get('magic')!r}, expected {MANI1_MAGIC!r}"
+            f"{path}: bad magic {header['magic']!r}, expected {MANI1_MAGIC!r}"
         )
-    task_kind, clip_seconds = header.get("task_kind"), header.get("clip_seconds")
-    if task_kind not in TASK_KINDS:
+    if header["task_kind"] not in TASK_KINDS:
         raise FormatError(
-            f"{path}: manifest task_kind must be one of {TASK_KINDS}, got {task_kind!r}"
-        )
-    if isinstance(clip_seconds, bool) or not isinstance(clip_seconds, (int, float)):
-        raise FormatError(
-            f"{path}: manifest clip_seconds must be a number, got {clip_seconds!r}"
+            f"{path}: manifest task_kind must be one of {TASK_KINDS}, "
+            f"got {header['task_kind']!r}"
         )
     entries = []
     for i, ln in enumerate(lines[1:], start=2):
@@ -341,13 +332,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             row = json.loads(ln)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}:{i}: manifest entry is not JSON: {e}") from e
-        if "path" not in row or "label" not in row:
-            raise FormatError(f"{path}:{i}: manifest entry needs 'path' and 'label'")
+        _check_fields(path, row, _MANI1_ENTRY, f"manifest line {i}")
         entries.append((row["path"], row["label"]))
     return DatasetManifest(
         entries=entries,
-        task_kind=task_kind,
-        clip_seconds=clip_seconds,
+        task_kind=header["task_kind"],
+        clip_seconds=header["clip_seconds"],
         base_dir=Path(path).resolve().parent,
     )
 
@@ -402,8 +392,6 @@ def generate_synthetic_model(
 class SyntheticDataConfig:
     n_classes: int = 4
     clip_seconds: float = 5.0
-    n_mels: int = 128
-    frames_per_second: int = 100
     noise_std: float = 0.5
     task_kind: str = "single-label"
 
@@ -419,9 +407,7 @@ class SyntheticDataConfig:
 
     @property
     def n_frames(self) -> int:
-        from .features import frames_for_duration
-
-        return frames_for_duration(self.clip_seconds, self.frames_per_second)
+        return frames_for_duration(self.clip_seconds, SpectrogramConfig().frames_per_second)
 
 
 def class_templates(cfg: SyntheticDataConfig) -> np.ndarray:
@@ -431,7 +417,7 @@ def class_templates(cfg: SyntheticDataConfig) -> np.ndarray:
     temporal ripple on a quiet floor, so classes are linearly separable and
     nearest-template correlation on noiseless samples is exact.
     """
-    c, rows, cols = cfg.n_classes, cfg.n_mels, cfg.n_frames
+    c, rows, cols = cfg.n_classes, SpectrogramConfig().n_mels, cfg.n_frames
     band = max(1, rows // c)
     t = np.arange(cols, dtype=np.float64)
     templates = np.full((c, rows, cols), -1.0, dtype=np.float64)
@@ -453,12 +439,11 @@ def generate_synthetic_dataset(
     (single-label) or one-hot rows (multi-label).
     """
     templates = class_templates(cfg)
-    specs = np.empty((n_samples, cfg.n_mels, cfg.n_frames), dtype=np.float32)
+    shape = (SpectrogramConfig().n_mels, cfg.n_frames)
+    specs = np.empty((n_samples, *shape), dtype=np.float32)
     class_ids = np.arange(n_samples, dtype=np.int64) % cfg.n_classes
     for i in range(n_samples):
-        noise = _rng(seed, stream=i + 1).standard_normal(
-            (cfg.n_mels, cfg.n_frames), dtype=np.float32
-        )
+        noise = _rng(seed, stream=i + 1).standard_normal(shape, dtype=np.float32)
         specs[i] = templates[class_ids[i]] + np.float32(cfg.noise_std) * noise
     if cfg.task_kind == "multi-label":
         return specs, one_hot(class_ids, cfg.n_classes)

@@ -53,8 +53,12 @@ class ModelConfig:
     task_kind: str = "single-label"
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        for name in ("mlp_ratio", "clip_seconds"):  # both are rounded to counts
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("depth", "embed_dim", "n_heads", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.n_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}"
@@ -331,6 +335,11 @@ def forward_spectrograms(
     specs = np.asarray(spectrograms, dtype=np.float32)
     if specs.ndim != 3:
         raise ShapeError(f"expected [n x mels x frames], got {specs.shape}")
+    if specs.shape[1] != weights.spec_config.n_mels:
+        raise ShapeError(
+            f"clip has {specs.shape[1]} mel bins, the model expects "
+            f"{weights.spec_config.n_mels}"
+        )
     cls_rows = []
     counts: list[int] = []
     for start in range(0, specs.shape[0], batch_size):

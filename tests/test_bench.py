@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from astmerge import (
     save_teacher_logits,
     sweep_report,
 )
-from astmerge.bench import load_inputs, parse_sweep_report
+from astmerge.bench import load_inputs
+from astmerge.errors import ShapeError
 from astmerge.features import write_wav, Waveform
 from astmerge.kd import component_losses
 from astmerge.model_io import SyntheticDataConfig, generate_synthetic_dataset
@@ -107,9 +109,25 @@ class TestRunInference:
         result = run_inference(tiny_model, manifest, r=0)
         assert result.probabilities.shape == (3, 3)
 
-    def test_overlong_clip_rejected(self, tmp_path, tiny_model):
-        from astmerge.errors import ShapeError
+    @pytest.mark.parametrize("setting", [{"batch_size": 0}, {"threads": 0}],
+                             ids=["batch-0", "threads-0"])
+    def test_run_settings_checked(self, tiny_model, tiny_dataset_dir, setting):
+        """run_inference rejects the batch size and thread count BenchConfig
+        rejects, with the same message."""
+        _, manifest, specs, _ = tiny_dataset_dir
+        with pytest.raises(ConfigError, match="batch_size and threads must be >= 1"):
+            run_inference(tiny_model, manifest, r=0, inputs=specs, **setting)
 
+    @pytest.mark.parametrize("mels", [64, 200])
+    def test_wrong_mel_count_in_inputs_is_shape_error(
+        self, tiny_model, tiny_dataset_dir, mels
+    ):
+        _, manifest, specs, _ = tiny_dataset_dir
+        wrong = np.zeros((specs.shape[0], mels, specs.shape[2]), dtype=np.float32)
+        with pytest.raises(ShapeError, match=f"clip has {mels} mel bins, the model expects 128"):
+            run_inference(tiny_model, manifest, r=0, inputs=wrong)
+
+    def test_overlong_clip_rejected(self, tmp_path, tiny_model):
         save_spec(tmp_path / "x.spec", Spectrogram(values=np.zeros((128, 40), np.float32)))
         manifest = DatasetManifest(
             entries=[("x.spec", 0)], task_kind="single-label",
@@ -214,8 +232,7 @@ class TestSweepReport:
         cfg = BenchConfig(r_values=(0, 2), batch_size=4, warmup_runs=0)
         result = benchmark_throughput(tiny_model, manifest, cfg)
         json_text, csv_text = sweep_report(result)
-        parsed = parse_sweep_report(json_text)
-        assert parsed == result
+        assert json.loads(json_text) == asdict(result)
         lines = csv_text.strip().splitlines()
         assert lines[0] == "r,metric,drop,s_per_s,tokens_final"
         assert len(lines) == 3

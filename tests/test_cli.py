@@ -195,16 +195,61 @@ class TestErrorReporting:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:format:")
 
-    def test_zero_norm_std_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--norm-std", "0"], ["--dim", "0"], ["--heads", "-2"], ["--heads", "0"],
+         ["--mlp-ratio", "-1"], ["--mlp-ratio", "0.01"], ["--mlp-ratio", "nan"],
+         ["--clip-seconds", "nan"]],
+        ids=["norm-std-0", "dim-0", "heads-minus-2", "heads-0", "mlp-ratio-minus-1",
+             "hidden-0", "mlp-ratio-nan", "clip-seconds-nan"],
+    )
+    def test_bad_model_setting_is_config_error(self, tmp_path, capsys, flags):
         out = tmp_path / "m.modl"
         code = main([
             "make-model", "--out", str(out), "--depth", "1", "--dim", "16",
-            "--heads", "2", "--clip-seconds", "0.16", "--norm-std", "0",
+            "--heads", "2", "--clip-seconds", "0.16", *flags,
         ])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:config:") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("n_heads", 0, "n_heads"), ("embed_dim", 0, "embed_dim"),
+        ("mlp_ratio", -1.0, "hidden_dim"),
+    ])
+    def test_bad_model_size_in_header_is_config_error(
+        self, workspace, capsys, key, value, named
+    ):
+        tmp, model, manifest, _ = workspace
+        bad = edited_model(
+            model, tmp / "bad_size.modl", lambda header: header["model"].update({key: value})
+        )
+        code = main([
+            "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and len(err.splitlines()) == 1
+        assert f"{named} must be >= 1" in err
+
+    @pytest.mark.parametrize("mode", [["--r", "0"], ["--r-sweep", "0,2"]],
+                             ids=["r", "r-sweep"])
+    @pytest.mark.parametrize("setting", [["--batch", "0"], ["--threads", "0"]],
+                             ids=["batch-0", "threads-0"])
+    def test_bad_run_setting_is_config_error(self, workspace, capsys, mode, setting):
+        """Both bench modes reject the setting before reading a clip: the
+        clips are deleted first, so a late check would be an io error."""
+        tmp, model, manifest, _ = workspace
+        for clip in (tmp / "data" / "specs").iterdir():
+            clip.unlink()
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), *mode, *setting,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config: batch_size and threads must be >= 1")
+        assert len(err.splitlines()) == 1
 
     def test_head_width_mismatch_is_shape_error(self, workspace, capsys):
         tmp, _, manifest, _ = workspace
@@ -282,6 +327,33 @@ class TestErrorReporting:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error:{category}:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line, text, where",
+        [
+            (0, "[]", "manifest header is not a JSON object"),
+            (1, "7", "manifest line 2 is not a JSON object"),
+            (1, '{"path": 7, "label": 0}', "manifest line 2 field 'path' has the wrong type"),
+            (2, '{"label": 0}', "manifest line 3 lacks field 'path'"),
+        ],
+        ids=["header-list", "entry-number", "path-number", "no-path"],
+    )
+    def test_malformed_manifest_line_is_format_error(
+        self, workspace, capsys, line, text, where
+    ):
+        """A header or entry line that is not a JSON object, or an entry
+        without a string path, exits 2 with one format line naming it."""
+        tmp, model, manifest, _ = workspace
+        lines = manifest.read_text().splitlines()
+        lines[line] = text
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+        assert where in err
 
     @pytest.mark.parametrize("change", ["delete", "retype"])
     @pytest.mark.parametrize(

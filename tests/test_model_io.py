@@ -258,6 +258,12 @@ class TestTeacherLogits:
 
 
 class TestHeadProbe:
+    @pytest.mark.parametrize("mels", [64, 200])
+    def test_wrong_mel_count_is_shape_error(self, tiny_model, mels):
+        specs = np.zeros((4, mels, 16), dtype=np.float32)
+        with pytest.raises(ShapeError, match=f"clip has {mels} mel bins, the model expects 128"):
+            fit_head_probe(tiny_model, specs, np.arange(4) % 3)
+
     def test_probe_beats_chance_in_sample(self):
         cfg = ModelConfig(
             depth=2, embed_dim=32, n_heads=4, mlp_ratio=2.0,
