@@ -102,9 +102,9 @@ def load_inputs(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
     """Read every manifest entry into one [n x mels x frames] array.
 
     WAV entries go through the log-mel front end with the model's
-    spectrogram config; SPEC1 entries are used as-is. Every clip must have
-    the model's mel count; shorter clips are zero-padded to the model's frame
-    count, longer ones rejected.
+    spectrogram config; a SPEC1 entry of the model's shape is read straight
+    into its row. Every clip must have the model's mel count; shorter clips
+    are zero-padded to the model's frame count, longer ones rejected.
     """
     base = manifest.base_dir or Path(".")
     if not manifest.entries:
@@ -113,20 +113,21 @@ def load_inputs(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
     stack = np.empty(
         (len(manifest.entries), weights.spec_config.n_mels, frames), dtype=np.float32
     )
-    for i, (rel_path, _) in enumerate(manifest.entries):
+    for (rel_path, _), row in zip(manifest.entries, stack):
         path = Path(rel_path)
         if not path.is_absolute():
             path = base / path
         if path.suffix.lower() == ".wav":
             values = compute_log_mel(read_wav(path), weights.spec_config).values
         else:
-            values = load_spec(path).values
+            values = load_spec(path, out=row).values
         if values.shape[0] != weights.spec_config.n_mels:
             raise ShapeError(
                 f"{path}: clip has {values.shape[0]} mel bins, the model expects "
                 f"{weights.spec_config.n_mels}"
             )
-        stack[i] = fit_frames(values, frames)
+        if values is not row:
+            row[...] = fit_frames(values, frames)
     return stack
 
 

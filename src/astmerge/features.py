@@ -1,15 +1,17 @@
 """Log-mel spectrogram front end.
 
 Converts a mono waveform into the 128 x 100t log-mel matrix the encoder
-consumes (the model's own mean/std shift is applied by the encoder): 25 ms Hann window, 10 ms hop (100 frames/s), centered
-framing with reflection padding so a t-second clip yields exactly
-ceil(100t) frames, power-spectrum mel filterbank, natural log with a small
-floor. Also owns the matrix file layout that ``SPEC1`` spectrograms and
-``TLOG1`` teacher logits share, and 16-bit PCM WAV ingestion.
+consumes (the model's own mean/std shift is applied by the encoder): 25 ms
+Hann window, 10 ms hop (100 frames/s), centered framing with reflection
+padding so a t-second clip yields exactly ceil(100t) frames, power-spectrum
+mel filterbank, natural log with a small floor. Also owns the matrix file
+layout that ``SPEC1`` spectrograms and ``TLOG1`` teacher logits share, the
+float32 payload read they and ``MODL1`` use, and 16-bit PCM WAV ingestion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -119,10 +121,11 @@ def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=4)
 def mel_filterbank(
     cfg: SpectrogramConfig, sample_rate: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Triangular mel filterbank and its center frequencies.
+    """Triangular mel filterbank and its center frequencies; cached, so read-only.
 
     Returns (weights [n_mels x n_fft_bins], centers_hz [n_mels]). Triangles
     are peak-normalized (height 1) so a pure tone is maximal in the filter
@@ -149,12 +152,16 @@ def mel_filterbank(
         falling = (right - fft_freqs) / max(right - center, 1e-12)
         weights[m] = np.clip(np.minimum(rising, falling), 0.0, None)
     centers = hz_points[1:-1]
+    weights.flags.writeable = centers.flags.writeable = False
     return weights, centers
 
 
+@functools.lru_cache(maxsize=4)
 def _hann_window(length: int) -> np.ndarray:
-    # Periodic Hann, the STFT convention.
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    # Periodic Hann, the STFT convention; cached, so read-only.
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    window.flags.writeable = False
+    return window
 
 
 def compute_log_mel(w: Waveform, cfg: SpectrogramConfig) -> Spectrogram:
@@ -243,8 +250,24 @@ def save_matrix(path: str | Path, magic: bytes, values: np.ndarray) -> None:
         f.write(values.tobytes())
 
 
-def load_matrix(path: str | Path, magic: bytes) -> np.ndarray:
-    """Read a ``save_matrix`` file; a NaN or infinite value is a format error."""
+def read_float32(f, path: str | Path, what: str, shape: tuple[int, ...],
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Read the rest of the open file ``f``, which must be exactly a float32
+    array of ``shape``, into ``out`` when ``out`` has that shape, else into a
+    new array. The size is checked against the file before any allocation."""
+    nbytes = 4 * math.prod(shape)
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    if size != nbytes:
+        raise FormatError(f"{path}: {what} payload is {size} bytes, expected {nbytes}")
+    out = out if out is not None and out.shape == shape else np.empty(shape, "<f4")
+    if f.readinto(out) != nbytes:
+        raise FormatError(f"{path}: {what} file shrank while it was read")
+    return out
+
+
+def load_matrix(path: str | Path, magic: bytes, out: np.ndarray | None = None) -> np.ndarray:
+    """Read a ``save_matrix`` file, into ``out`` if the shapes match; a NaN or
+    infinite value is a format error."""
     name = magic.decode()
     with open(path, "rb") as f:
         head = f.read(13)
@@ -252,13 +275,7 @@ def load_matrix(path: str | Path, magic: bytes) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {head[:5]!r}, expected {magic!r}")
         if len(head) < 13:
             raise FormatError(f"{path}: truncated {name} header")
-        rows, cols = struct.unpack_from("<II", head, 5)
-        size, expected = os.fstat(f.fileno()).st_size, 13 + 4 * rows * cols
-        if size != expected:
-            raise FormatError(f"{path}: {name} payload is {size} bytes, expected {expected}")
-        values = np.empty((rows, cols), dtype="<f4")  # sized by the file, not the header
-        if f.readinto(values) != size - 13:
-            raise FormatError(f"{path}: {name} file shrank while it was read")
+        values = read_float32(f, path, name, struct.unpack_from("<II", head, 5), out)
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: {name} holds NaN or infinite values")
     return values
@@ -269,9 +286,9 @@ def save_spec(path: str | Path, s: Spectrogram) -> None:
     save_matrix(path, SPEC1_MAGIC, s.values)
 
 
-def load_spec(path: str | Path) -> Spectrogram:
-    """Read a SPEC1 file. The format carries no front-end config."""
-    return Spectrogram(values=load_matrix(path, SPEC1_MAGIC))
+def load_spec(path: str | Path, out: np.ndarray | None = None) -> Spectrogram:
+    """Read a SPEC1 file (into ``out`` if the shapes match); no front-end config."""
+    return Spectrogram(values=load_matrix(path, SPEC1_MAGIC, out))
 
 
 def fit_frames(values: np.ndarray, expected_frames: int) -> np.ndarray:

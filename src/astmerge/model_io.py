@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, FormatError, ShapeError
-from .features import SpectrogramConfig, frames_for_duration
+from .features import SpectrogramConfig, frames_for_duration, read_float32
 from .head import TASK_KINDS, HeadWeights, one_hot, targets
 from .patchify import EmbeddingWeights, PatchConfig, patch_count
 from .tome import ToMeConfig
@@ -191,59 +192,56 @@ def save_model(path: str | Path, w: ModelWeights) -> None:
 
 
 def load_model(path: str | Path) -> ModelWeights:
-    data = Path(path).read_bytes()
-    if len(data) < 5 or data[:5] != MODL1_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:5]!r}, expected {MODL1_MAGIC!r}")
-    if len(data) < 10:
-        raise FormatError(f"{path}: truncated MODL1 header")
-    version, header_len = struct.unpack_from("<BI", data, 5)
-    if version != MODL1_VERSION:
-        raise FormatError(f"{path}: unknown MODL1 version {version}")
-    if len(data) < 10 + header_len:
-        raise FormatError(f"{path}: truncated MODL1 header payload")
-    try:
-        header = json.loads(data[10 : 10 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: undecodable MODL1 header: {e}") from e
-    _check_fields(path, header, _MODL1_HEADER, "MODL1 header")
-    configs = {
-        attr: cls(**{key: header[name][key] for key in _MODL1_HEADER[name]})
-        for name, (attr, cls) in _SECTIONS.items()
-    }
-    layout = _layout(**configs)
-    declared: dict[str, tuple[int, ...]] = {}
-    for t in header["tensors"]:
-        if not (isinstance(t, dict) and isinstance(t.get("name"), str)
-                and isinstance(t.get("shape"), list)
-                and all(type(v) is int and v >= 0 for v in t["shape"])):
-            raise FormatError(f"{path}: malformed MODL1 tensor entry {t!r}")
-        name, shape = t["name"], tuple(t["shape"])
-        if name not in layout or name in declared:
-            what = "unknown" if name not in layout else "duplicate"
-            raise FormatError(f"{path}: {what} tensor {name!r} in MODL1 file")
-        if shape != layout[name]:
-            raise ShapeError(
-                f"{path}: tensor {name!r} has shape {list(shape)}, the model's "
-                f"config gives {list(layout[name])}"
-            )
-        declared[name] = shape
-    missing = [name for name in layout if name not in declared]
-    if missing:
-        raise FormatError(f"{path}: tensors {missing} missing from MODL1 file")
-
-    offset, total = 10 + header_len, 4 * sum(map(math.prod, declared.values()))
-    if len(data) - offset != total:
-        raise FormatError(
-            f"{path}: tensor payload is {len(data) - offset} bytes, header declares {total}"
-        )
-    tensors: dict[str, np.ndarray] = {}
+    """Read a MODL1 file; its tensors are views of one buffer, read once."""
+    with open(path, "rb") as f:
+        head = f.read(10)
+        if head[:5] != MODL1_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:5]!r}, expected {MODL1_MAGIC!r}")
+        if len(head) < 10:
+            raise FormatError(f"{path}: truncated MODL1 header")
+        version, header_len = struct.unpack_from("<BI", head, 5)
+        if version != MODL1_VERSION:
+            raise FormatError(f"{path}: unknown MODL1 version {version}")
+        if os.fstat(f.fileno()).st_size < 10 + header_len:
+            raise FormatError(f"{path}: truncated MODL1 header payload")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: undecodable MODL1 header: {e}") from e
+        _check_fields(path, header, _MODL1_HEADER, "MODL1 header")
+        configs = {
+            attr: cls(**{key: header[name][key] for key in _MODL1_HEADER[name]})
+            for name, (attr, cls) in _SECTIONS.items()
+        }
+        layout = _layout(**configs)
+        declared: dict[str, tuple[int, ...]] = {}
+        for t in header["tensors"]:
+            if not (isinstance(t, dict) and isinstance(t.get("name"), str)
+                    and isinstance(t.get("shape"), list)
+                    and all(type(v) is int and v >= 0 for v in t["shape"])):
+                raise FormatError(f"{path}: malformed MODL1 tensor entry {t!r}")
+            name, shape = t["name"], tuple(t["shape"])
+            if name not in layout or name in declared:
+                what = "unknown" if name not in layout else "duplicate"
+                raise FormatError(f"{path}: {what} tensor {name!r} in MODL1 file")
+            if shape != layout[name]:
+                raise ShapeError(
+                    f"{path}: tensor {name!r} has shape {list(shape)}, the model's "
+                    f"config gives {list(layout[name])}"
+                )
+            declared[name] = shape
+        missing = [name for name in layout if name not in declared]
+        if missing:
+            raise FormatError(f"{path}: tensors {missing} missing from MODL1 file")
+        total = sum(map(math.prod, declared.values()))
+        payload = read_float32(f, path, "MODL1 tensor", (total,))
+    tensors, offset = {}, 0
     for name, shape in declared.items():
-        count = math.prod(shape)
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        if not np.isfinite(arr).all():
+        t = payload[offset : offset + math.prod(shape)]
+        if not np.isfinite(t).all():
             raise FormatError(f"{path}: tensor {name!r} holds NaN or infinite values")
-        tensors[name] = arr.reshape(shape).copy()
-        offset += 4 * count
+        tensors[name] = t.reshape(shape)
+        offset += t.size
     return _assemble(
         tensors, **configs, norm_mean=header["norm_mean"], norm_std=header["norm_std"]
     )
@@ -398,8 +396,10 @@ class SyntheticDataConfig:
     def __post_init__(self) -> None:
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.clip_seconds) and self.clip_seconds > 0):
+            raise ConfigError(f"clip_seconds must be finite and > 0, got {self.clip_seconds}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.task_kind not in TASK_KINDS:
             raise ConfigError(
                 f"task_kind must be one of {TASK_KINDS}, got {self.task_kind!r}"
@@ -438,6 +438,8 @@ def generate_synthetic_dataset(
     reproducible from its index alone. Labels are class indices
     (single-label) or one-hot rows (multi-label).
     """
+    if n_samples < 0:
+        raise ConfigError(f"n_samples must be >= 0, got {n_samples}")
     templates = class_templates(cfg)
     shape = (SpectrogramConfig().n_mels, cfg.n_frames)
     specs = np.empty((n_samples, *shape), dtype=np.float32)

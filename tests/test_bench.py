@@ -29,9 +29,12 @@ from astmerge import (
     save_teacher_logits,
     sweep_report,
 )
+from astmerge import bench
 from astmerge.bench import load_inputs
 from astmerge.errors import ShapeError
-from astmerge.features import write_wav, Waveform
+from astmerge.features import (
+    Waveform, compute_log_mel, fit_frames, load_spec, read_wav, write_wav,
+)
 from astmerge.kd import component_losses
 from astmerge.model_io import SyntheticDataConfig, generate_synthetic_dataset
 from astmerge.transformer import forward_spectrograms
@@ -126,6 +129,42 @@ class TestRunInference:
         wrong = np.zeros((specs.shape[0], mels, specs.shape[2]), dtype=np.float32)
         with pytest.raises(ShapeError, match=f"clip has {mels} mel bins, the model expects 128"):
             run_inference(tiny_model, manifest, r=0, inputs=wrong)
+
+    def test_load_inputs_mixes_full_short_and_wav_clips(
+        self, tmp_path, tiny_model, monkeypatch
+    ):
+        """Each row equals its clip read on its own and fitted; the
+        full-length SPEC1 clip is read straight into its row."""
+        rng = np.random.default_rng(5)
+        full = rng.standard_normal((128, 16)).astype(np.float32)
+        save_spec(tmp_path / "full.spec", Spectrogram(values=full))
+        save_spec(tmp_path / "short.spec", Spectrogram(values=full[:, :10] + 1))
+        wav = Waveform(samples=rng.uniform(-0.3, 0.3, size=2560), sample_rate=16000)
+        write_wav(tmp_path / "c.wav", wav)
+        paths = ["full.spec", "short.spec", "c.wav"]
+        manifest = DatasetManifest(
+            entries=[(p, 0) for p in paths], task_kind="single-label", clip_seconds=0.16,
+            base_dir=tmp_path,
+        )
+        in_place = []
+
+        def spy(path, out=None):
+            spec = load_spec(path, out=out)
+            in_place.append(spec.values is out)
+            return spec
+
+        monkeypatch.setattr(bench, "load_spec", spy)
+        stack = load_inputs(manifest, tiny_model)
+        assert in_place == [True, False]
+        log_mel = compute_log_mel(read_wav(tmp_path / "c.wav"), tiny_model.spec_config)
+        expected = [
+            fit_frames(load_spec(tmp_path / "full.spec").values, 16),
+            fit_frames(load_spec(tmp_path / "short.spec").values, 16),
+            fit_frames(log_mel.values, 16),
+        ]
+        for path, row, want in zip(paths, stack, expected):
+            np.testing.assert_array_equal(row.view(np.uint32), want.view(np.uint32), path)
+        assert not stack[1, :, 10:].any()
 
     def test_overlong_clip_rejected(self, tmp_path, tiny_model):
         save_spec(tmp_path / "x.spec", Spectrogram(values=np.zeros((128, 40), np.float32)))

@@ -214,6 +214,26 @@ class TestErrorReporting:
         assert err.startswith("error:config:") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--samples", "-1"], "n_samples"), (["--clip-seconds", "-1"], "clip_seconds"),
+         (["--clip-seconds", "0"], "clip_seconds"), (["--clip-seconds", "nan"], "clip_seconds"),
+         (["--noise", "nan"], "noise_std"), (["--noise", "inf"], "noise_std"),
+         (["--noise", "-1"], "noise_std")],
+        ids=["samples-minus-1", "clip-seconds-minus-1", "clip-seconds-0", "clip-seconds-nan",
+             "noise-nan", "noise-inf", "noise-minus-1"],
+    )
+    def test_bad_data_setting_is_config_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "data"
+        code = main([
+            "make-data", "--out-dir", str(out), "--samples", "2", "--clip-seconds", "0.16",
+            *flags,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:config: {named} must be") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, named", [
         ("n_heads", 0, "n_heads"), ("embed_dim", 0, "embed_dim"),
         ("mlp_ratio", -1.0, "hidden_dim"),

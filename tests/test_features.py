@@ -2,7 +2,9 @@
 and the model's input normalization."""
 
 import math
+import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,23 +12,30 @@ import pytest
 from astmerge import (
     ConfigError,
     FormatError,
+    ModelConfig,
     Spectrogram,
     SpectrogramConfig,
     ToMeConfig,
     Waveform,
     compute_log_mel,
+    generate_synthetic_model,
+    load_model,
     load_spec,
     read_wav,
+    save_model,
     save_spec,
 )
+from astmerge import features
 from astmerge.features import (
     MAX_SAMPLE_RATE,
+    _hann_window,
     fit_frames,
     frames_for_duration,
     mel_filterbank,
     write_wav,
 )
 from astmerge.errors import ShapeError
+from astmerge.kd import load_teacher_logits, save_teacher_logits
 from astmerge.transformer import (
     encoder_forward_batch,
     forward_spectrograms,
@@ -112,6 +121,27 @@ class TestToneLocalization:
         assert hits / len(interior) >= 0.95
 
 
+class TestFilterbankCache:
+    def test_cached_tables_are_shared_and_read_only(self):
+        fb, centers = mel_filterbank(CFG, SR)
+        assert mel_filterbank(CFG, SR)[0] is fb
+        assert mel_filterbank(CFG, 2 * SR)[0].shape != fb.shape
+        window = _hann_window(CFG.window_samples(SR))
+        assert _hann_window(CFG.window_samples(SR)) is window
+        for table in (fb, centers, window):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_warm_cache_gives_the_cold_bits(self):
+        w = sine(440, 0.5)
+        mel_filterbank.cache_clear()
+        _hann_window.cache_clear()
+        cold = compute_log_mel(w, CFG).values
+        np.testing.assert_array_equal(
+            compute_log_mel(w, CFG).values.view(np.uint32), cold.view(np.uint32)
+        )
+
+
 class TestScaling:
     def test_amplitude_scale_shifts_log_by_2_ln_k(self):
         """Power scales with k^2, so log-mel shifts by 2 ln k wherever the
@@ -189,6 +219,48 @@ class TestSpecFile:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(FormatError):
             load_spec(p)
+
+
+class TestPayloadRead:
+    @pytest.mark.parametrize("fmt", ["MODL1", "SPEC1", "TLOG1"])
+    def test_file_that_shrinks_while_read_is_format_error(self, tmp_path, monkeypatch, fmt):
+        """The payload size passes its check against fstat, then the file is
+        cut before the read: the short read is a format error. Payloads span
+        many read buffers, so the cut is seen."""
+        rng = np.random.default_rng(3)
+        p = tmp_path / fmt
+        if fmt == "MODL1":
+            save_model(p, generate_synthetic_model(0, ModelConfig(
+                depth=2, embed_dim=64, n_heads=2, clip_seconds=1.0, n_classes=4,
+            )))
+            load = load_model
+        elif fmt == "SPEC1":
+            values = rng.standard_normal((128, 2000)).astype(np.float32)
+            save_spec(p, Spectrogram(values=values))
+            load = load_spec
+        else:
+            save_teacher_logits(p, rng.standard_normal((65536, 4)).astype(np.float32))
+            load = load_teacher_logits
+
+        def fstat_then_shrink(fd):
+            st = os.fstat(fd)
+            os.truncate(p, 0)
+            return st
+
+        monkeypatch.setattr(features, "os", SimpleNamespace(fstat=fstat_then_shrink))
+        with pytest.raises(FormatError, match="shrank while it was read"):
+            load(p)
+
+    def test_matching_out_is_filled_in_place(self, tmp_path):
+        values = np.random.default_rng(4).standard_normal((8, 5)).astype(np.float32)
+        save_spec(tmp_path / "a.spec", Spectrogram(values=values))
+        out = np.zeros((8, 5), np.float32)
+        assert load_spec(tmp_path / "a.spec", out=out).values is out
+        np.testing.assert_array_equal(out, values)
+        other = np.zeros((8, 6), np.float32)
+        loaded = load_spec(tmp_path / "a.spec", out=other).values
+        assert loaded is not other and not other.any()
+        np.testing.assert_array_equal(loaded, values)
 
 
 class TestWav:

@@ -1,6 +1,7 @@
 """MODL1/MANI1 round-trips, seeded generation, synthetic data, probe fit."""
 
 import hashlib
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -59,7 +60,8 @@ class TestModelFile:
         assert loaded.config == w.config
         for (n1, t1), (n2, t2) in zip(_tensor_table(w), _tensor_table(loaded)):
             assert n1 == n2
-            np.testing.assert_array_equal(t1, t2)
+            assert t2.dtype == np.float32 and t2.flags.c_contiguous and t2.flags.writeable
+            np.testing.assert_array_equal(t1.view(np.uint32), t2.view(np.uint32))
 
     def test_corrupted_magic_named_in_error(self, tmp_path):
         p = tmp_path / "bad.modl"
@@ -95,6 +97,35 @@ class TestModelFile:
         p.write_bytes(p.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(FormatError, match="payload"):
             load_model(p)
+
+    def test_writing_one_tensor_leaves_the_others(self, tmp_path):
+        """The tensors share one buffer; none overlaps another."""
+        save_model(tmp_path / "m.modl", generate_synthetic_model(4, TINY))
+        table = _tensor_table(load_model(tmp_path / "m.modl"))
+        before = [t.copy() for _, t in table]
+        for i, (name, t) in enumerate(table):
+            t[...] = np.float32(i + 0.5)
+            for j, (other, u) in enumerate(table):
+                expected = np.float32(j + 0.5) if j <= i else before[j]
+                assert np.all(u == expected), (name, other)
+
+    def test_peak_memory_is_one_payload(self, tmp_path):
+        """load_model reads the payload once into the buffer its tensors
+        view; holding the file and a copy of every tensor peaks near 2x."""
+        import tracemalloc
+
+        w = generate_synthetic_model(0, ModelConfig(
+            depth=2, embed_dim=64, n_heads=2, mlp_ratio=4.0, clip_seconds=1.0, n_classes=4,
+        ))
+        save_model(tmp_path / "m.modl", w)
+        payload = sum(t.nbytes for _, t in _tensor_table(w))
+        tracemalloc.start()
+        try:
+            load_model(tmp_path / "m.modl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * payload, (peak, payload)
 
 
     def test_header_sections_are_the_config_fields(self):
@@ -188,6 +219,20 @@ class TestSyntheticDataset:
         _, labels = generate_synthetic_dataset(2, 6, cfg)
         assert labels.shape == (6, 3)
         np.testing.assert_array_equal(labels.sum(axis=1), np.ones(6))
+
+    @pytest.mark.parametrize("clip_seconds", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_clip_seconds_rejected(self, clip_seconds):
+        with pytest.raises(ConfigError, match="clip_seconds"):
+            SyntheticDataConfig(clip_seconds=clip_seconds)
+
+    @pytest.mark.parametrize("noise_std", [-0.5, math.nan, math.inf])
+    def test_bad_noise_std_rejected(self, noise_std):
+        with pytest.raises(ConfigError, match="noise_std"):
+            SyntheticDataConfig(noise_std=noise_std, clip_seconds=0.16)
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_samples"):
+            generate_synthetic_dataset(0, -1, SyntheticDataConfig(clip_seconds=0.16))
 
     @pytest.mark.parametrize("task_kind", ["multi_label", "", "Single-label"])
     def test_unknown_task_kind_rejected(self, task_kind):
