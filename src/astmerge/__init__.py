@@ -55,7 +55,6 @@ from .model_io import (
 )
 from .patchify import (
     EmbeddingWeights,
-    PatchConfig,
     PatchGrid,
     add_positional_and_cls,
     embed_patches,

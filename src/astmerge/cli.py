@@ -63,8 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", parents=[], description="Run/benchmark inference.")
     b.add_argument("--model", required=True, help="MODL1 model file")
     b.add_argument("--manifest", required=True, help="MANI1 dataset manifest")
-    b.add_argument("--r", type=int, default=None, help="single reduction factor")
-    b.add_argument(
+    mode = b.add_mutually_exclusive_group()
+    mode.add_argument("--r", type=int, default=None, help="single reduction factor")
+    mode.add_argument(
         "--r-sweep",
         default=None,
         help=f"comma-separated reduction factors (default {','.join(map(str, DEFAULT_R_SWEEP))})",
@@ -119,10 +120,17 @@ def _parse_sweep(text: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.r is not None and args.out_csv:
+        raise ConfigError("--out-csv writes a sweep table; it needs --r-sweep, not --r")
+    if args.r is None and args.teacher_logits is not None:
+        raise ConfigError("--teacher-logits needs a single --r run, not a sweep")
     weights = load_model(args.model)
     manifest = load_manifest(args.manifest)
 
     if args.r is not None:
+        kd = None  # checked before the inference pass, not after it
+        if args.teacher_logits is not None:
+            kd = KdConfig(lam=args.lam, tau=args.tau, task_kind=weights.config.task_kind)
         result = run_inference(
             weights, manifest, args.r, batch_size=args.batch, threads=args.threads
         )
@@ -133,13 +141,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "per_block_counts": result.per_block_counts,
             "n_samples": int(result.probabilities.shape[0]),
         }
-        if args.teacher_logits is not None:
+        if kd is not None:
             report["kd"] = kd_eval(
-                result,
-                args.teacher_logits,
-                KdConfig(lam=args.lam, tau=args.tau, task_kind=weights.config.task_kind),
-                r=args.r,
-                batch_size=args.batch,
+                result, args.teacher_logits, kd, r=args.r, batch_size=args.batch
             )
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if args.out_json:
@@ -147,8 +151,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
         return 0
 
-    if args.teacher_logits is not None:
-        raise ConfigError("--teacher-logits needs a single --r run, not a sweep")
     r_values = _parse_sweep(args.r_sweep) if args.r_sweep else DEFAULT_R_SWEEP
     cfg = BenchConfig(
         r_values=r_values,
@@ -192,6 +194,8 @@ def _cmd_make_data(args: argparse.Namespace) -> int:
         noise_std=args.noise,
         task_kind=args.task,
     )
+    if args.samples < 1:  # the generator itself allows an empty dataset
+        raise ConfigError(f"n_samples must be >= 1, got {args.samples}")
     specs, labels = generate_synthetic_dataset(args.seed, args.samples, cfg)
     out_dir = Path(args.out_dir)
     spec_dir = out_dir / "specs"

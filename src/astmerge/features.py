@@ -1,10 +1,12 @@
 """Log-mel spectrogram front end.
 
 Converts a mono waveform into the 128 x 100t log-mel matrix the encoder
-consumes (the model's own mean/std shift is applied by the encoder): 25 ms
-Hann window, 10 ms hop (100 frames/s), centered framing with reflection
+consumes (the model's own mean/std shift is applied by the encoder). The
+front end is AST's and fixed: 25 ms periodic Hann window, FFT of the next
+power of two, 10 ms hop (100 frames/s), centered framing with reflection
 padding so a t-second clip yields exactly ceil(100t) frames, power-spectrum
-mel filterbank, natural log with a small floor. Also owns the matrix file
+mel filterbank from 0 Hz to Nyquist, natural log with a 1e-10 floor; only
+the mel count and the frame rate are a model's own. Also owns the matrix file
 layout that ``SPEC1`` spectrograms and ``TLOG1`` teacher logits share, the
 float32 payload read they and ``MODL1`` use, and 16-bit PCM WAV ingestion.
 """
@@ -35,44 +37,33 @@ _DURATION_EPS = 1e-9
 MAX_SAMPLE_RATE = 768_000
 
 
+# The fixed front-end settings (see the module docstring).
+WINDOW_MS = 25.0
+LOG_FLOOR = 1e-10
+
+
 @dataclass(frozen=True)
 class SpectrogramConfig:
-    """Front-end parameters. Defaults give the 128 x 100t layout."""
+    """A model's mel count and frame rate; the defaults give 128 x 100t."""
 
     n_mels: int = 128
     frames_per_second: int = 100
-    window_length_ms: float = 25.0
-    hop_length_ms: float = 10.0
-    fft_size: int | None = None  # None: next power of two >= window samples
-    mel_fmin: float = 0.0
-    mel_fmax: float | None = None  # None: sample_rate / 2
-    log_floor: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.n_mels < 1:
-            raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
-        if self.hop_length_ms * self.frames_per_second != 1000.0:
-            raise ConfigError(
-                "hop_length_ms * frames_per_second must equal 1000, got "
-                f"{self.hop_length_ms} * {self.frames_per_second}"
-            )
-        if self.log_floor <= 0:
-            raise ConfigError(f"log_floor must be positive, got {self.log_floor}")
+        for name in ("n_mels", "frames_per_second"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def window_samples(self, sample_rate: int) -> int:
-        return int(round(sample_rate * self.window_length_ms / 1000.0))
+        return int(round(sample_rate * WINDOW_MS / 1000.0))
 
     def hop_samples(self, sample_rate: int) -> int:
-        return int(round(sample_rate * self.hop_length_ms / 1000.0))
+        hop_ms = 1000.0 / self.frames_per_second  # via ms, so the rounding is unchanged
+        return int(round(sample_rate * hop_ms / 1000.0))
 
-    def effective_fft_size(self, sample_rate: int) -> int:
-        if self.fft_size is not None:
-            return self.fft_size
-        win = self.window_samples(sample_rate)
-        return 1 << (win - 1).bit_length()
-
-    def effective_fmax(self, sample_rate: int) -> float:
-        return self.mel_fmax if self.mel_fmax is not None else sample_rate / 2.0
+    def fft_samples(self, sample_rate: int) -> int:
+        """The next power of two >= the window."""
+        return 1 << (self.window_samples(sample_rate) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -131,19 +122,11 @@ def mel_filterbank(
     are peak-normalized (height 1) so a pure tone is maximal in the filter
     whose center is nearest the tone.
     """
-    fmax = cfg.effective_fmax(sample_rate)
-    if not cfg.mel_fmin < fmax:
-        raise ConfigError(f"mel_fmin {cfg.mel_fmin} must be below mel_fmax {fmax}")
-    if fmax > sample_rate / 2.0 + 1e-9:
-        raise ConfigError(
-            f"mel_fmax {fmax} exceeds Nyquist {sample_rate / 2.0} "
-            f"for sample_rate {sample_rate}"
-        )
-    n_fft = cfg.effective_fft_size(sample_rate)
+    n_fft = cfg.fft_samples(sample_rate)
     n_bins = n_fft // 2 + 1
     fft_freqs = np.arange(n_bins, dtype=np.float64) * sample_rate / n_fft
 
-    mel_points = np.linspace(hz_to_mel(cfg.mel_fmin), hz_to_mel(fmax), cfg.n_mels + 2)
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), cfg.n_mels + 2)
     hz_points = np.asarray(mel_to_hz(mel_points))
     weights = np.zeros((cfg.n_mels, n_bins), dtype=np.float64)
     for m in range(cfg.n_mels):
@@ -169,16 +152,14 @@ def compute_log_mel(w: Waveform, cfg: SpectrogramConfig) -> Spectrogram:
 
     Frame k is centered at sample k * hop; the signal is reflection-padded by
     half a window on both sides, so a t-second clip yields ceil(100t) frames.
-    Output values are ln(mel_power + log_floor) as float32.
+    Output values are ln(mel_power + LOG_FLOOR) as float32.
     """
     sr = w.sample_rate
     win = cfg.window_samples(sr)
     hop = cfg.hop_samples(sr)
     if hop < 1 or win < 2:
-        raise ConfigError(f"sample_rate {sr} too low for the configured window/hop")
-    n_fft = cfg.effective_fft_size(sr)
-    if n_fft < win:
-        raise ConfigError(f"fft_size {n_fft} smaller than window ({win} samples)")
+        raise ConfigError(f"sample_rate {sr} too low for the window/hop")
+    n_fft = cfg.fft_samples(sr)
     fb, _ = mel_filterbank(cfg, sr)
 
     x = w.samples
@@ -198,7 +179,7 @@ def compute_log_mel(w: Waveform, cfg: SpectrogramConfig) -> Spectrogram:
     spectrum = np.fft.rfft(frames * window, n=n_fft, axis=1)
     power = np.abs(spectrum) ** 2  # [n_frames x n_bins]
     mel = power @ fb.T  # [n_frames x n_mels]
-    values = np.log(mel + cfg.log_floor).T.astype(np.float32)
+    values = np.log(mel + LOG_FLOOR).T.astype(np.float32)
     return Spectrogram(values=values)
 
 

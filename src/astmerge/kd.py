@@ -16,6 +16,7 @@ float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,8 +38,8 @@ class KdConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.tau <= 0.0:
-            raise ConfigError(f"temperature must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigError(f"temperature must be finite and positive, got {self.tau}")
         if self.task_kind not in TASK_KINDS:
             raise ConfigError(f"unknown task kind {self.task_kind!r}")
 

@@ -21,14 +21,14 @@ import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, FormatError, ShapeError
 from .features import SpectrogramConfig, frames_for_duration, read_float32
 from .head import TASK_KINDS, HeadWeights, one_hot, targets
-from .patchify import EmbeddingWeights, PatchConfig, patch_count
+from .patchify import PATCH_VALUES, EmbeddingWeights, patch_count
 from .tome import ToMeConfig
 from .transformer import (
     BlockWeights,
@@ -38,7 +38,9 @@ from .transformer import (
 )
 
 MODL1_MAGIC = b"MODL1"
-MODL1_VERSION = 1
+# Version 1 headers could set the window, FFT, mel edges, log floor and
+# patching; they are refused, not read with those settings ignored.
+MODL1_VERSION = 2
 MANI1_MAGIC = "MANI1"
 
 _MASK64 = (1 << 64) - 1
@@ -53,9 +55,7 @@ PROBE_RIDGE = 1e-3
 # MODL1 model files
 # --------------------------------------------------------------------------
 
-def _layout(
-    config: ModelConfig, spec_config: SpectrogramConfig, patch_config: PatchConfig
-) -> dict[str, tuple[int, ...]]:
+def _layout(config: ModelConfig, spec_config: SpectrogramConfig) -> dict[str, tuple[int, ...]]:
     """Every MODL1 tensor's name and shape, in file order.
 
     A name is ``<owner>.<field>``: owner ``patch`` is the EmbeddingWeights,
@@ -63,7 +63,7 @@ def _layout(
     without an owner is a ModelWeights field.
     """
     d, hidden, c = config.embed_dim, config.hidden_dim, config.n_classes
-    n_tokens = 1 + patch_count(config.clip_seconds, patch_config, spec_config)  # + [CLS]
+    n_tokens = 1 + patch_count(config.clip_seconds, spec_config)  # + [CLS]
     block = {
         "ln1_gain": (d,), "ln1_bias": (d,), "qkv": (d, 3 * d), "qkv_bias": (3 * d,),
         "proj": (d, d), "proj_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
@@ -71,7 +71,7 @@ def _layout(
         "mlp_out": (hidden, d), "mlp_out_bias": (d,),
     }
     return {
-        "patch.projection": (patch_config.patch_values, d),
+        "patch.projection": (PATCH_VALUES, d),
         "patch.projection_bias": (d,),
         "patch.positional": (n_tokens, d),
         "patch.cls_token": (d,),
@@ -96,7 +96,7 @@ def _tensor_table(w: ModelWeights) -> list[tuple[str, np.ndarray]]:
         "head": w.head,
     }
     table = []
-    for name in _layout(w.config, w.spec_config, w.patch_config):
+    for name in _layout(w.config, w.spec_config):
         owner, _, field = name.rpartition(".")
         table.append((name, getattr(owners[owner], field)))
     return table
@@ -121,23 +121,19 @@ def _assemble(tensors: dict[str, np.ndarray], **fields) -> ModelWeights:
 # The JSON types a field of each annotated type accepts, matched exactly:
 # json.loads yields only these, so a bool is never a number.
 _NUM = (int, float)
-_JSON_TYPES = {int: (int,), float: _NUM, str: (str,), type(None): (type(None),)}
+_JSON_TYPES = {int: (int,), float: _NUM, str: (str,)}
 _ANY_JSON = (dict, list, str, int, float, bool, type(None))
 # Each MODL1 config section: its ModelWeights attribute and config class.
 _SECTIONS = {
     "model": ("config", ModelConfig),
     "spectrogram": ("spec_config", SpectrogramConfig),
-    "patch": ("patch_config", PatchConfig),
 }
 
 
 def _json_fields(cls: type) -> dict[str, tuple[type, ...]]:
     """Each dataclass field of ``cls`` with the JSON types it accepts: a
-    ``float`` takes any number and ``X | None`` also null."""
-    return {
-        name: tuple(t for arg in (get_args(hint) or (hint,)) for t in _JSON_TYPES[arg])
-        for name, hint in get_type_hints(cls).items()
-    }
+    ``float`` takes any number."""
+    return {name: _JSON_TYPES[hint] for name, hint in get_type_hints(cls).items()}
 
 
 # Every MODL1 header field load_model reads; other keys are ignored.
@@ -201,7 +197,7 @@ def load_model(path: str | Path) -> ModelWeights:
             raise FormatError(f"{path}: truncated MODL1 header")
         version, header_len = struct.unpack_from("<BI", head, 5)
         if version != MODL1_VERSION:
-            raise FormatError(f"{path}: unknown MODL1 version {version}")
+            raise FormatError(f"{path}: unknown MODL1 version {version}, expected {MODL1_VERSION}")
         if os.fstat(f.fileno()).st_size < 10 + header_len:
             raise FormatError(f"{path}: truncated MODL1 header payload")
         try:
@@ -365,11 +361,10 @@ def generate_synthetic_model(
     that order from Philox(key=seed).
     """
     spec_config = spec_config or SpectrogramConfig()
-    patch_config = PatchConfig()
     rng = _rng(seed)
     scale = np.float32(1.0 / np.sqrt(config.embed_dim))
     tensors = {}
-    for name, shape in _layout(config, spec_config, patch_config).items():
+    for name, shape in _layout(config, spec_config).items():
         if name.endswith("gain"):
             tensors[name] = np.ones(shape, dtype=np.float32)
         elif name.endswith("bias"):
@@ -377,8 +372,8 @@ def generate_synthetic_model(
         else:
             tensors[name] = rng.standard_normal(shape, dtype=np.float32) * scale
     return _assemble(
-        tensors, config=config, spec_config=spec_config, patch_config=patch_config,
-        norm_mean=norm_mean, norm_std=norm_std,
+        tensors, config=config, spec_config=spec_config, norm_mean=norm_mean,
+        norm_std=norm_std,
     )
 
 

@@ -20,19 +20,10 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .features import SpectrogramConfig, frames_for_duration
 
-
-@dataclass(frozen=True)
-class PatchConfig:
-    patch_size: int = 16
-    stride: int = 10
-
-    def __post_init__(self) -> None:
-        if self.patch_size < 1 or self.stride < 1:
-            raise ConfigError("patch_size and stride must be positive")
-
-    @property
-    def patch_values(self) -> int:
-        return self.patch_size * self.patch_size
+# AST's fixed patching: 16 x 16 patches on a stride-10 grid.
+PATCH_SIZE = 16
+PATCH_STRIDE = 10
+PATCH_VALUES = PATCH_SIZE * PATCH_SIZE
 
 
 @dataclass(frozen=True)
@@ -53,18 +44,14 @@ class EmbeddingWeights:
     cls_token: np.ndarray  # [d]
 
 
-def _axis_patches(extent: int, cfg: PatchConfig) -> int:
+def _axis_patches(extent: int) -> int:
     # Valid-origin counting: origins 0, stride, 2*stride, ... that still fit.
-    if extent < cfg.patch_size:
+    if extent < PATCH_SIZE:
         return 0
-    return (extent - cfg.patch_size) // cfg.stride + 1
+    return (extent - PATCH_SIZE) // PATCH_STRIDE + 1
 
 
-def patch_count(
-    clip_seconds: float,
-    cfg: PatchConfig | None = None,
-    spec: SpectrogramConfig | None = None,
-) -> int:
+def patch_count(clip_seconds: float, spec: SpectrogramConfig | None = None) -> int:
     """Token count N for a t-second clip: the patch grid over ``spec``'s mel
     bins and ceil(fps * t) frames.
 
@@ -72,29 +59,28 @@ def patch_count(
     12 * ceil((100t - 16) / 10) for every whole-second t, and a clip of
     exactly 16 frames still yields one time column.
     """
-    cfg = cfg or PatchConfig()
     spec = spec or SpectrogramConfig()
     n_frames = frames_for_duration(clip_seconds, spec.frames_per_second)
-    if n_frames < cfg.patch_size:
+    if n_frames < PATCH_SIZE:
         raise ConfigError(
             f"clip of {clip_seconds} s ({n_frames} frames) is shorter than one "
-            f"{cfg.patch_size}-frame patch"
+            f"{PATCH_SIZE}-frame patch"
         )
-    return patch_grid(spec.n_mels, n_frames, cfg).total
+    return patch_grid(spec.n_mels, n_frames).total
 
 
-def patch_grid(n_mels: int, n_frames: int, cfg: PatchConfig) -> PatchGrid:
-    nf = _axis_patches(n_mels, cfg)
-    nt = _axis_patches(n_frames, cfg)
+def patch_grid(n_mels: int, n_frames: int) -> PatchGrid:
+    nf = _axis_patches(n_mels)
+    nt = _axis_patches(n_frames)
     if nf == 0 or nt == 0:
         raise ShapeError(
             f"spectrogram {n_mels} x {n_frames} is smaller than one "
-            f"{cfg.patch_size} x {cfg.patch_size} patch"
+            f"{PATCH_SIZE} x {PATCH_SIZE} patch"
         )
     return PatchGrid(n_freq_patches=nf, n_time_patches=nt)
 
 
-def extract_patches(values: np.ndarray, cfg: PatchConfig) -> tuple[np.ndarray, PatchGrid]:
+def extract_patches(values: np.ndarray) -> tuple[np.ndarray, PatchGrid]:
     """Cut a [B x mels x frames] stack into [B x N x 256] flattened patches.
 
     Patch (i, j) covers mel rows [stride*i, stride*i + 16) and frames
@@ -105,14 +91,14 @@ def extract_patches(values: np.ndarray, cfg: PatchConfig) -> tuple[np.ndarray, P
     values = np.asarray(values, dtype=np.float32)
     if values.ndim != 3:
         raise ShapeError(f"expected [B x mels x frames], got shape {values.shape}")
-    grid = patch_grid(values.shape[1], values.shape[2], cfg)
-    p, st = cfg.patch_size, cfg.stride
+    grid = patch_grid(values.shape[1], values.shape[2])
+    p, st = PATCH_SIZE, PATCH_STRIDE
     windows = np.lib.stride_tricks.sliding_window_view(values, (p, p), axis=(1, 2))
     windows = windows[:, ::st, ::st]  # [B, nf, nt, p, p]
     patches = (
         windows[:, : grid.n_freq_patches, : grid.n_time_patches]
         .transpose(0, 2, 1, 3, 4)  # time-major, frequency varies fastest
-        .reshape(values.shape[0], grid.total, cfg.patch_values)
+        .reshape(values.shape[0], grid.total, PATCH_VALUES)
     )
     return np.ascontiguousarray(patches), grid
 

@@ -30,7 +30,6 @@ from .features import SpectrogramConfig, fit_frames, frames_for_duration
 from .head import TASK_KINDS, HeadWeights
 from .patchify import (
     EmbeddingWeights,
-    PatchConfig,
     add_positional_and_cls,
     embed_patches,
     extract_patches,
@@ -56,7 +55,7 @@ class ModelConfig:
         for name in ("mlp_ratio", "clip_seconds"):  # both are rounded to counts
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("depth", "embed_dim", "n_heads", "hidden_dim"):
+        for name in ("depth", "embed_dim", "n_heads", "hidden_dim", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.n_heads != 0:
@@ -95,7 +94,6 @@ class ModelWeights:
 
     config: ModelConfig
     spec_config: SpectrogramConfig
-    patch_config: PatchConfig
     embedding: EmbeddingWeights
     blocks: list[BlockWeights]
     final_ln_gain: np.ndarray
@@ -132,9 +130,7 @@ class ModelWeights:
 
     @property
     def n_tokens(self) -> int:
-        return 1 + patch_count(  # + [CLS]
-            self.config.clip_seconds, self.patch_config, self.spec_config
-        )
+        return 1 + patch_count(self.config.clip_seconds, self.spec_config)  # + [CLS]
 
 
 def layer_norm(
@@ -309,7 +305,7 @@ def tokens_from_spectrogram(
     declared duration are rejected.
     """
     values = fit_frames(np.asarray(values, dtype=np.float32), weights.expected_frames)
-    patches, _ = extract_patches(values, weights.patch_config)
+    patches, _ = extract_patches(values)
     embedded = embed_patches(patches, weights.embedding)
     return add_positional_and_cls(embedded, weights.embedding)
 

@@ -11,7 +11,6 @@ import pytest
 from astmerge import (
     HeadWeights,
     ModelConfig,
-    PatchConfig,
     bench,
     generate_synthetic_model,
     load_model,
@@ -26,12 +25,8 @@ MODL1_FIELDS = [
         "depth", "embed_dim", "n_heads", "mlp_ratio", "clip_seconds", "n_classes",
         "task_kind",
     )),
-    *(("spectrogram", k) for k in (
-        "n_mels", "frames_per_second", "window_length_ms", "hop_length_ms",
-        "fft_size", "mel_fmin", "mel_fmax", "log_floor",
-    )),
-    *(("patch", k) for k in ("patch_size", "stride")),
-    *((None, k) for k in ("model", "spectrogram", "patch", "norm_mean", "norm_std", "tensors")),
+    *(("spectrogram", k) for k in ("n_mels", "frames_per_second")),
+    *((None, k) for k in ("model", "spectrogram", "norm_mean", "norm_std", "tensors")),
 ]
 
 # Binary input header fields as (format, field, offset, struct layout, wrong
@@ -158,22 +153,6 @@ class TestBenchCommand:
         assert "kd" in json.loads(capsys.readouterr().out)
         assert len(calls) == 1
 
-    def test_older_header_with_patch_embed_dim_runs(self, workspace, capsys):
-        """A header that still carries ``patch.embed_dim`` loads and runs; the
-        key is ignored, even where it disagrees with ``model.embed_dim``, and
-        a re-save drops it without touching the tensor payload."""
-        tmp, model, manifest, _ = workspace
-        old = edited_model(
-            model, tmp / "old.modl", lambda header: header["patch"].update(embed_dim=999)
-        )
-        weights = load_model(old)
-        assert weights.patch_config == PatchConfig()
-        save_model(tmp / "resaved.modl", weights)
-        assert (tmp / "resaved.modl").read_bytes() == model.read_bytes()
-        assert main([
-            "bench", "--model", str(old), "--manifest", str(manifest), "--r", "0",
-        ]) == 0
-
 
 class TestErrorReporting:
     def test_missing_model_is_io_error(self, workspace, capsys):
@@ -199,9 +178,10 @@ class TestErrorReporting:
         "flags",
         [["--norm-std", "0"], ["--dim", "0"], ["--heads", "-2"], ["--heads", "0"],
          ["--mlp-ratio", "-1"], ["--mlp-ratio", "0.01"], ["--mlp-ratio", "nan"],
-         ["--clip-seconds", "nan"]],
+         ["--clip-seconds", "nan"], ["--classes", "0"], ["--classes", "-1"]],
         ids=["norm-std-0", "dim-0", "heads-minus-2", "heads-0", "mlp-ratio-minus-1",
-             "hidden-0", "mlp-ratio-nan", "clip-seconds-nan"],
+             "hidden-0", "mlp-ratio-nan", "clip-seconds-nan", "classes-0",
+             "classes-minus-1"],
     )
     def test_bad_model_setting_is_config_error(self, tmp_path, capsys, flags):
         out = tmp_path / "m.modl"
@@ -216,12 +196,13 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize(
         "flags, named",
-        [(["--samples", "-1"], "n_samples"), (["--clip-seconds", "-1"], "clip_seconds"),
+        [(["--samples", "-1"], "n_samples"), (["--samples", "0"], "n_samples"),
+         (["--clip-seconds", "-1"], "clip_seconds"),
          (["--clip-seconds", "0"], "clip_seconds"), (["--clip-seconds", "nan"], "clip_seconds"),
          (["--noise", "nan"], "noise_std"), (["--noise", "inf"], "noise_std"),
          (["--noise", "-1"], "noise_std")],
-        ids=["samples-minus-1", "clip-seconds-minus-1", "clip-seconds-0", "clip-seconds-nan",
-             "noise-nan", "noise-inf", "noise-minus-1"],
+        ids=["samples-minus-1", "samples-0", "clip-seconds-minus-1", "clip-seconds-0",
+             "clip-seconds-nan", "noise-nan", "noise-inf", "noise-minus-1"],
     )
     def test_bad_data_setting_is_config_error(self, tmp_path, capsys, flags, named):
         out = tmp_path / "data"
@@ -656,6 +637,42 @@ class TestErrorReporting:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:config:")
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0"])
+    def test_bad_temperature_is_config_error(self, workspace, capsys, tau):
+        tmp, model, manifest, teacher = workspace
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest),
+            "--r", "0", "--teacher-logits", str(teacher), "--tau", tau,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config: temperature must be finite and positive")
+        assert len(err.splitlines()) == 1
+
+    def test_out_csv_with_single_r_rejected(self, workspace, capsys):
+        tmp, model, manifest, _ = workspace
+        out = tmp / "single.csv"
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest),
+            "--r", "0", "--out-csv", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and len(err.splitlines()) == 1
+        assert "--out-csv" in err and not out.exists()
+
+    def test_r_and_r_sweep_together_is_usage_error(self, workspace, capsys):
+        tmp, model, manifest, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "bench", "--model", str(model), "--manifest", str(manifest),
+                "--r", "2", "--r-sweep", "0,1",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:usage:") and len(err.splitlines()) == 1
+        assert "--r-sweep" in err and "--r" in err
 
     def test_usage_error_single_line(self, capsys):
         with pytest.raises(SystemExit) as exc:

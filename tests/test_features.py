@@ -1,6 +1,7 @@
 """Log-mel front end: shape law, silence, tone localization, scaling,
 and the model's input normalization."""
 
+import hashlib
 import math
 import os
 from dataclasses import replace
@@ -27,6 +28,7 @@ from astmerge import (
 )
 from astmerge import features
 from astmerge.features import (
+    LOG_FLOOR,
     MAX_SAMPLE_RATE,
     _hann_window,
     fit_frames,
@@ -59,7 +61,7 @@ class TestShape:
         w = Waveform(samples=np.zeros(5 * SR), sample_rate=SR)
         s = compute_log_mel(w, CFG)
         assert s.values.shape == (128, 500)
-        expected = np.float32(np.log(CFG.log_floor))
+        expected = np.float32(np.log(LOG_FLOOR))
         assert np.all(s.values == expected)
 
     def test_one_second_gives_100_frames(self):
@@ -87,11 +89,19 @@ class TestShape:
         with pytest.raises(ConfigError):
             Waveform(samples=np.array([]), sample_rate=SR)
 
-    def test_low_sample_rate_vs_fmax_rejected(self):
-        cfg = SpectrogramConfig(mel_fmax=8000.0)
-        w = Waveform(samples=np.zeros(4000), sample_rate=4000)
-        with pytest.raises(ConfigError):
-            compute_log_mel(w, cfg)
+    @pytest.mark.parametrize("sr, fps, digest", [
+        (16000, 100, "1631744ba1f0e0bf33074c9c88869e8b7c83616e2b7919662c15916e65ef44df"),
+        (16000, 50, "ef3b47d557db22269ef8d3a876e07352faeeb5b942dd7ed54ed60aff8798de11"),
+        (22050, 100, "708bdeb2146fe8b65ec0db1fced88a85918b98b0a26999f189c5442900fd8034"),
+        (22050, 50, "d0fc2af5a1e5276d12d28d9cfd8fe29c6377aba698c49a353a59e72dacb786a4"),
+    ])
+    def test_pinned_log_mel_digest(self, sr, fps, digest):
+        """The fixed front end's bits, frozen for one seeded half-second of
+        noise: window, hop, FFT size, mel edges and log floor all feed them."""
+        x = np.random.default_rng(7).uniform(-0.5, 0.5, size=sr // 2)
+        s = compute_log_mel(Waveform(samples=x, sample_rate=sr),
+                            SpectrogramConfig(frames_per_second=fps))
+        assert hashlib.sha256(s.values.tobytes()).hexdigest() == digest
 
 
 class TestToneLocalization:
@@ -105,7 +115,7 @@ class TestToneLocalization:
 
         win = CFG.window_samples(SR)
         hop = CFG.hop_samples(SR)
-        n_fft = CFG.effective_fft_size(SR)
+        n_fft = CFG.fft_samples(SR)
         interior = [
             k
             for k in range(s.n_frames)
@@ -152,7 +162,7 @@ class TestScaling:
         k = 3.7
         s1 = compute_log_mel(Waveform(samples=x, sample_rate=SR), CFG)
         s2 = compute_log_mel(Waveform(samples=k * x, sample_rate=SR), CFG)
-        energized = s1.values > math.log(CFG.log_floor) + 5.0
+        energized = s1.values > math.log(LOG_FLOOR) + 5.0
         assert energized.mean() > 0.95
         shift = s2.values.astype(np.float64) - s1.values.astype(np.float64)
         np.testing.assert_allclose(shift[energized], 2.0 * math.log(k), atol=1e-3)

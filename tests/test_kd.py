@@ -33,6 +33,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             KdConfig(tau=0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_temperature_finite(self, tau):
+        with pytest.raises(ConfigError, match="temperature must be finite"):
+            KdConfig(tau=tau)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             KdBatch(

@@ -11,7 +11,6 @@ from astmerge import (
     DatasetManifest,
     FormatError,
     ModelConfig,
-    PatchConfig,
     SpectrogramConfig,
     SyntheticDataConfig,
     ToMeConfig,
@@ -83,6 +82,18 @@ class TestModelFile:
         with pytest.raises(FormatError, match="version"):
             load_model(p)
 
+    def test_version_1_file_is_format_error(self, tmp_path):
+        """A version-1 file, whose header could carry window or patch
+        settings this build does not read, is refused by its version byte."""
+        p = tmp_path / "v1.modl"
+        save_model(p, generate_synthetic_model(0, TINY))
+        data = bytearray(p.read_bytes())
+        assert data[5] == 2
+        data[5] = 1
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="unknown MODL1 version 1, expected 2"):
+            load_model(p)
+
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "trunc.modl"
         save_model(p, generate_synthetic_model(0, TINY))
@@ -129,8 +140,8 @@ class TestModelFile:
 
 
     def test_header_sections_are_the_config_fields(self):
-        sections = {"model": ModelConfig, "spectrogram": SpectrogramConfig,
-                    "patch": PatchConfig}
+        sections = {"model": ModelConfig, "spectrogram": SpectrogramConfig}
+        assert [k for k, v in _MODL1_HEADER.items() if isinstance(v, dict)] == list(sections)
         keys = []
         for section, cls in sections.items():
             assert list(_MODL1_HEADER[section]) == [f.name for f in fields(cls)]
@@ -166,7 +177,7 @@ class TestSyntheticModel:
     @pytest.mark.parametrize(
         "spec",
         [SpectrogramConfig(n_mels=64),
-         SpectrogramConfig(frames_per_second=50, hop_length_ms=20.0)],
+         SpectrogramConfig(frames_per_second=50)],
         ids=["64-mels", "50-fps"],
     )
     def test_token_count_follows_spectrogram_config(self, spec, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from astmerge import (
     ConfigError,
     EmbeddingWeights,
-    PatchConfig,
     add_positional_and_cls,
     embed_patches,
     extract_patches,
@@ -15,8 +14,6 @@ from astmerge import (
 from astmerge.errors import ShapeError
 
 from oracles import naive_matmul
-
-CFG = PatchConfig()
 
 
 def spec(values):
@@ -42,38 +39,38 @@ class TestPatchCount:
     @pytest.mark.parametrize("t", range(1, 11))
     def test_formula_matches_extraction(self, t):
         values = np.zeros((128, 100 * t), dtype=np.float32)
-        patches, grid = extract_patches(spec(values), CFG)
+        patches, grid = extract_patches(spec(values))
         assert patch_count(float(t)) == grid.total == patches.shape[1]
 
 
 class TestExtractPatches:
     def test_reference_grid_5s(self):
         rng = np.random.default_rng(0)
-        patches, grid = extract_patches(spec(rng.standard_normal((128, 500))), CFG)
+        patches, grid = extract_patches(spec(rng.standard_normal((128, 500))))
         assert (grid.n_freq_patches, grid.n_time_patches) == (12, 49)
         assert patches.shape == (1, 588, 256)
 
     def test_single_time_column(self):
-        patches, grid = extract_patches(spec(np.zeros((128, 16))), CFG)
+        patches, grid = extract_patches(spec(np.zeros((128, 16))))
         assert (grid.n_freq_patches, grid.n_time_patches) == (12, 1)
         assert patches.shape == (1, 12, 256)
 
     def test_constant_input_gives_constant_patches(self):
-        patches, _ = extract_patches(spec(np.full((128, 26), 2.5)), CFG)
+        patches, _ = extract_patches(spec(np.full((128, 26), 2.5)))
         assert np.all(patches == np.float32(2.5))
 
     def test_pure_gather(self):
         """Every output value is an input value; patching does no arithmetic."""
         rng = np.random.default_rng(1)
         values = rng.permutation(128 * 40).astype(np.float32).reshape(128, 40)
-        patches, _ = extract_patches(spec(values), CFG)
+        patches, _ = extract_patches(spec(values))
         assert set(patches.ravel().tolist()) <= set(values.ravel().tolist())
 
     def test_enumeration_frequency_fastest_and_row_major(self):
         # value encodes its (mel, frame) coordinate
         mel = np.arange(128)[:, None] * 1000.0
         frame = np.arange(60)[None, :] * 1.0
-        patches, grid = extract_patches(spec(mel + frame), CFG)
+        patches, grid = extract_patches(spec(mel + frame))
         for p_idx in [0, 1, 11, 12, 25, grid.total - 1]:
             j, i = divmod(p_idx, grid.n_freq_patches)
             top_left = patches[0, p_idx][0]
@@ -83,7 +80,7 @@ class TestExtractPatches:
 
     def test_too_small_rejected(self):
         with pytest.raises(ShapeError):
-            extract_patches(spec(np.zeros((128, 15))), CFG)
+            extract_patches(spec(np.zeros((128, 15))))
 
 
 class TestEmbedPatches:
