@@ -151,13 +151,6 @@ def _predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(logits, probabilities): linear readout of CLS rows plus the task's
     activation, softmax for single-label and sigmoid for multi-label."""
-    if head.linear.ndim != 2 or head.linear.shape[0] != cls.shape[-1] or (
-        head.bias.shape != head.linear.shape[1:]
-    ):
-        raise ShapeError(
-            f"head weights {head.linear.shape} and bias {head.bias.shape} do not "
-            f"fit CLS width {cls.shape[-1]}"
-        )
     logits = cls @ head.linear + head.bias
     if task_kind == "single-label":
         probs = softmax(logits)
@@ -298,12 +291,11 @@ def kd_eval(
     result: InferenceResult,
     teacher_logits_path: str | Path,
     kd_cfg: KdConfig,
-    r: int,
     batch_size: int = 16,
 ) -> dict:
     """Distillation-loss report of the student logits of one ``run_inference``
-    at reduction factor ``r`` vs stored teacher logits, overall and per batch
-    of ``batch_size`` samples."""
+    vs stored teacher logits, overall and per batch of ``batch_size``
+    samples."""
     teacher = load_teacher_logits(teacher_logits_path)
     n, c = result.logits.shape
     if teacher.shape != (n, c):
@@ -335,7 +327,6 @@ def kd_eval(
     return {
         "lambda": kd_cfg.lam,
         "tau": kd_cfg.tau,
-        "r": r,
         **losses(slice(None)),
         "per_batch": per_batch,
     }

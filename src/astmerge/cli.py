@@ -124,13 +124,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError("--out-csv writes a sweep table; it needs --r-sweep, not --r")
     if args.r is None and args.teacher_logits is not None:
         raise ConfigError("--teacher-logits needs a single --r run, not a sweep")
+    r_values = DEFAULT_R_SWEEP
+    if args.r is not None:
+        r_values = (args.r,)
+    elif args.r_sweep is not None:
+        r_values = _parse_sweep(args.r_sweep)
+    # Every setting is checked before any clip is read, in both modes.
+    cfg = BenchConfig(
+        r_values=r_values,
+        batch_size=args.batch,
+        warmup_runs=args.warmup_runs,
+        measured_runs=args.measured_runs,
+        threads=args.threads,
+    )
     weights = load_model(args.model)
+    kd = KdConfig(lam=args.lam, tau=args.tau, task_kind=weights.config.task_kind)
     manifest = load_manifest(args.manifest)
 
     if args.r is not None:
-        kd = None  # checked before the inference pass, not after it
-        if args.teacher_logits is not None:
-            kd = KdConfig(lam=args.lam, tau=args.tau, task_kind=weights.config.task_kind)
         result = run_inference(
             weights, manifest, args.r, batch_size=args.batch, threads=args.threads
         )
@@ -141,24 +152,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "per_block_counts": result.per_block_counts,
             "n_samples": int(result.probabilities.shape[0]),
         }
-        if kd is not None:
-            report["kd"] = kd_eval(
-                result, args.teacher_logits, kd, r=args.r, batch_size=args.batch
-            )
+        if args.teacher_logits is not None:
+            report["kd"] = kd_eval(result, args.teacher_logits, kd, batch_size=args.batch)
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if args.out_json:
             Path(args.out_json).write_text(text)
         sys.stdout.write(text)
         return 0
 
-    r_values = _parse_sweep(args.r_sweep) if args.r_sweep else DEFAULT_R_SWEEP
-    cfg = BenchConfig(
-        r_values=r_values,
-        batch_size=args.batch,
-        warmup_runs=args.warmup_runs,
-        measured_runs=args.measured_runs,
-        threads=args.threads,
-    )
     result = benchmark_throughput(weights, manifest, cfg)
     json_text, csv_text = sweep_report(result)
     if args.out_json:

@@ -1,8 +1,10 @@
 """Model/manifest serialization and deterministic synthetic generation.
 
 ``MODL1`` is a single little-endian file: 5-byte magic, a version byte, a
-length-prefixed JSON header (config plus an ordered tensor table), then the
-raw float32 tensor payloads in table order. ``MANI1`` manifests are JSON
+length-prefixed JSON header (config plus a tensor table), then the raw
+float32 tensor payloads in table order. The table lists exactly the names of
+``transformer.tensor_layout`` in its order; the shapes are checked against
+that layout when the model is built. ``MANI1`` manifests are JSON
 lines: a header object followed by one {path, label} object per sample;
 line order defines teacher-logits alignment.
 
@@ -20,6 +22,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import get_type_hints
 
@@ -28,13 +31,12 @@ import numpy as np
 from .errors import AlignmentError, ConfigError, FormatError, ShapeError
 from .features import SpectrogramConfig, frames_for_duration, read_float32
 from .head import TASK_KINDS, HeadWeights, one_hot, targets
-from .patchify import PATCH_VALUES, EmbeddingWeights, patch_count
 from .tome import ToMeConfig
 from .transformer import (
-    BlockWeights,
     ModelConfig,
     ModelWeights,
     forward_spectrograms,
+    tensor_layout,
 )
 
 MODL1_MAGIC = b"MODL1"
@@ -54,69 +56,6 @@ PROBE_RIDGE = 1e-3
 # --------------------------------------------------------------------------
 # MODL1 model files
 # --------------------------------------------------------------------------
-
-def _layout(config: ModelConfig, spec_config: SpectrogramConfig) -> dict[str, tuple[int, ...]]:
-    """Every MODL1 tensor's name and shape, in file order.
-
-    A name is ``<owner>.<field>``: owner ``patch`` is the EmbeddingWeights,
-    ``block<i>`` the i-th BlockWeights and ``head`` the HeadWeights; a name
-    without an owner is a ModelWeights field.
-    """
-    d, hidden, c = config.embed_dim, config.hidden_dim, config.n_classes
-    n_tokens = 1 + patch_count(config.clip_seconds, spec_config)  # + [CLS]
-    block = {
-        "ln1_gain": (d,), "ln1_bias": (d,), "qkv": (d, 3 * d), "qkv_bias": (3 * d,),
-        "proj": (d, d), "proj_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
-        "mlp_in": (d, hidden), "mlp_in_bias": (hidden,),
-        "mlp_out": (hidden, d), "mlp_out_bias": (d,),
-    }
-    return {
-        "patch.projection": (PATCH_VALUES, d),
-        "patch.projection_bias": (d,),
-        "patch.positional": (n_tokens, d),
-        "patch.cls_token": (d,),
-        **{
-            f"block{i}.{field}": shape
-            for i in range(config.depth)
-            for field, shape in block.items()
-        },
-        "final_ln_gain": (d,),
-        "final_ln_bias": (d,),
-        "head.linear": (d, c),
-        "head.bias": (c,),
-    }
-
-
-def _tensor_table(w: ModelWeights) -> list[tuple[str, np.ndarray]]:
-    """(name, tensor) for every ``_layout`` name, in file order."""
-    owners = {
-        "patch": w.embedding,
-        **{f"block{i}": b for i, b in enumerate(w.blocks)},
-        "": w,
-        "head": w.head,
-    }
-    table = []
-    for name in _layout(w.config, w.spec_config):
-        owner, _, field = name.rpartition(".")
-        table.append((name, getattr(owners[owner], field)))
-    return table
-
-
-def _assemble(tensors: dict[str, np.ndarray], **fields) -> ModelWeights:
-    """ModelWeights from a tensor for every ``_layout`` name plus its other
-    ``fields``."""
-    owned: dict[str, dict[str, np.ndarray]] = {}
-    for name, t in tensors.items():
-        owner, _, field = name.rpartition(".")
-        owned.setdefault(owner, {})[field] = t
-    return ModelWeights(
-        embedding=EmbeddingWeights(**owned["patch"]),
-        blocks=[BlockWeights(**owned[f"block{i}"]) for i in range(fields["config"].depth)],
-        head=HeadWeights(**owned["head"]),
-        **owned[""],
-        **fields,
-    )
-
 
 # The JSON types a field of each annotated type accepts, matched exactly:
 # json.loads yields only these, so a bool is never a number.
@@ -169,7 +108,7 @@ def _check_fields(
 
 
 def save_model(path: str | Path, w: ModelWeights) -> None:
-    table = _tensor_table(w)
+    table = w.tensors()
     header = {
         **{name: asdict(getattr(w, attr)) for name, (attr, _) in _SECTIONS.items()},
         "norm_mean": w.norm_mean,
@@ -209,38 +148,34 @@ def load_model(path: str | Path) -> ModelWeights:
             attr: cls(**{key: header[name][key] for key in _MODL1_HEADER[name]})
             for name, (attr, cls) in _SECTIONS.items()
         }
-        layout = _layout(**configs)
-        declared: dict[str, tuple[int, ...]] = {}
-        for t in header["tensors"]:
+        entries = header["tensors"]
+        for t in entries:
             if not (isinstance(t, dict) and isinstance(t.get("name"), str)
                     and isinstance(t.get("shape"), list)
                     and all(type(v) is int and v >= 0 for v in t["shape"])):
                 raise FormatError(f"{path}: malformed MODL1 tensor entry {t!r}")
-            name, shape = t["name"], tuple(t["shape"])
-            if name not in layout or name in declared:
-                what = "unknown" if name not in layout else "duplicate"
-                raise FormatError(f"{path}: {what} tensor {name!r} in MODL1 file")
-            if shape != layout[name]:
-                raise ShapeError(
-                    f"{path}: tensor {name!r} has shape {list(shape)}, the model's "
-                    f"config gives {list(layout[name])}"
+        names = [t["name"] for t in entries]
+        for i, (got, want) in enumerate(zip_longest(names, tensor_layout(**configs))):
+            if got != want:
+                raise FormatError(
+                    f"{path}: MODL1 tensor entry {i} is {got!r}, the model's "
+                    f"layout has {want!r} there"
                 )
-            declared[name] = shape
-        missing = [name for name in layout if name not in declared]
-        if missing:
-            raise FormatError(f"{path}: tensors {missing} missing from MODL1 file")
-        total = sum(map(math.prod, declared.values()))
-        payload = read_float32(f, path, "MODL1 tensor", (total,))
+        shapes = [tuple(t["shape"]) for t in entries]
+        payload = read_float32(f, path, "MODL1 tensor", (sum(map(math.prod, shapes)),))
     tensors, offset = {}, 0
-    for name, shape in declared.items():
+    for name, shape in zip(names, shapes):
         t = payload[offset : offset + math.prod(shape)]
         if not np.isfinite(t).all():
             raise FormatError(f"{path}: tensor {name!r} holds NaN or infinite values")
         tensors[name] = t.reshape(shape)
         offset += t.size
-    return _assemble(
-        tensors, **configs, norm_mean=header["norm_mean"], norm_std=header["norm_std"]
-    )
+    try:
+        return ModelWeights.from_tensors(
+            tensors, **configs, norm_mean=header["norm_mean"], norm_std=header["norm_std"]
+        )
+    except ShapeError as e:
+        raise ShapeError(f"{path}: {e}") from None
 
 
 # --------------------------------------------------------------------------
@@ -364,14 +299,14 @@ def generate_synthetic_model(
     rng = _rng(seed)
     scale = np.float32(1.0 / np.sqrt(config.embed_dim))
     tensors = {}
-    for name, shape in _layout(config, spec_config).items():
+    for name, shape in tensor_layout(config, spec_config).items():
         if name.endswith("gain"):
             tensors[name] = np.ones(shape, dtype=np.float32)
         elif name.endswith("bias"):
             tensors[name] = np.zeros(shape, dtype=np.float32)
         else:
             tensors[name] = rng.standard_normal(shape, dtype=np.float32) * scale
-    return _assemble(
+    return ModelWeights.from_tensors(
         tensors, config=config, spec_config=spec_config, norm_mean=norm_mean,
         norm_std=norm_std,
     )

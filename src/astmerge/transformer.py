@@ -29,6 +29,7 @@ from .errors import ConfigError, ShapeError
 from .features import SpectrogramConfig, fit_frames, frames_for_duration
 from .head import TASK_KINDS, HeadWeights
 from .patchify import (
+    PATCH_VALUES,
     EmbeddingWeights,
     add_positional_and_cls,
     embed_patches,
@@ -88,9 +89,45 @@ class BlockWeights:
     mlp_out_bias: np.ndarray  # [d]
 
 
+def tensor_layout(
+    config: ModelConfig, spec_config: SpectrogramConfig
+) -> dict[str, tuple[int, ...]]:
+    """Every model tensor's name and shape, in MODL1 file order.
+
+    A name is ``<owner>.<field>``: owner ``patch`` is the EmbeddingWeights,
+    ``block<i>`` the i-th BlockWeights and ``head`` the HeadWeights; a name
+    without an owner is a ModelWeights field.
+    """
+    d, hidden, c = config.embed_dim, config.hidden_dim, config.n_classes
+    n_tokens = 1 + patch_count(config.clip_seconds, spec_config)  # + [CLS]
+    block = {
+        "ln1_gain": (d,), "ln1_bias": (d,), "qkv": (d, 3 * d), "qkv_bias": (3 * d,),
+        "proj": (d, d), "proj_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
+        "mlp_in": (d, hidden), "mlp_in_bias": (hidden,),
+        "mlp_out": (hidden, d), "mlp_out_bias": (d,),
+    }
+    return {
+        "patch.projection": (PATCH_VALUES, d),
+        "patch.projection_bias": (d,),
+        "patch.positional": (n_tokens, d),
+        "patch.cls_token": (d,),
+        **{
+            f"block{i}.{field}": shape
+            for i in range(config.depth)
+            for field, shape in block.items()
+        },
+        "final_ln_gain": (d,),
+        "final_ln_bias": (d,),
+        "head.linear": (d, c),
+        "head.bias": (c,),
+    }
+
+
 @dataclass
 class ModelWeights:
-    """Everything needed to run one model end to end."""
+    """Everything needed to run one model end to end. Every tensor is
+    checked against ``tensor_layout`` when the model is built, so no compute
+    step re-checks a weight's shape."""
 
     config: ModelConfig
     spec_config: SpectrogramConfig
@@ -110,17 +147,48 @@ class ModelWeights:
                 f"norm_mean must be finite and norm_std finite and > 0, got "
                 f"{self.norm_mean} and {self.norm_std}"
             )
-        c = self.config.n_classes
-        if self.head.linear.shape[-1:] != (c,) or self.head.bias.shape != (c,):
-            raise ShapeError(
-                f"head weights {self.head.linear.shape} and bias "
-                f"{self.head.bias.shape} do not give the model's {c} classes"
-            )
         if len(self.blocks) != self.config.depth:
             raise ConfigError(
                 f"model declares depth {self.config.depth} but carries "
                 f"{len(self.blocks)} blocks"
             )
+        layout = tensor_layout(self.config, self.spec_config)
+        for name, t in self.tensors():
+            if t.shape != layout[name]:
+                raise ShapeError(
+                    f"tensor {name!r} has shape {list(t.shape)}, the model's "
+                    f"config gives {list(layout[name])}"
+                )
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray], **fields) -> ModelWeights:
+        """The model holding a tensor for every ``tensor_layout`` name, plus
+        its other ``fields``."""
+        owned: dict[str, dict[str, np.ndarray]] = {}
+        for name, t in tensors.items():
+            owner, _, field = name.rpartition(".")
+            owned.setdefault(owner, {})[field] = t
+        return cls(
+            embedding=EmbeddingWeights(**owned["patch"]),
+            blocks=[BlockWeights(**owned[f"block{i}"]) for i in range(fields["config"].depth)],
+            head=HeadWeights(**owned["head"]),
+            **owned[""],
+            **fields,
+        )
+
+    def tensors(self) -> list[tuple[str, np.ndarray]]:
+        """(name, tensor) for every ``tensor_layout`` name, in file order."""
+        owners = {
+            "patch": self.embedding,
+            **{f"block{i}": b for i, b in enumerate(self.blocks)},
+            "": self,
+            "head": self.head,
+        }
+        table = []
+        for name in tensor_layout(self.config, self.spec_config):
+            owner, _, field = name.rpartition(".")
+            table.append((name, getattr(owners[owner], field)))
+        return table
 
     @property
     def expected_frames(self) -> int:
@@ -182,8 +250,6 @@ def attention_batch(
     GEMV attn @ s and the values are scaled before the AV GEMM, so nothing
     but the max shift and exp passes over the [n x n] scores."""
     b, n, d = x.shape
-    if d % n_heads != 0:
-        raise ShapeError(f"embed dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
     sizes = np.ascontiguousarray(sizes, dtype=np.float32)
     out = np.empty((b, n, d), dtype=np.float32)

@@ -10,6 +10,16 @@ from astmerge import ModelConfig, generate_synthetic_model
 from astmerge.pool import sample_pool
 
 
+# (tensor name, axis) for every axis of every tensor of a depth-1 model.
+DEPTH1_TENSOR_AXES = [
+    (name, axis)
+    for name, t in generate_synthetic_model(0, ModelConfig(
+        depth=1, embed_dim=16, n_heads=2, mlp_ratio=2.0, clip_seconds=0.16, n_classes=3,
+    )).tensors()
+    for axis in range(t.ndim)
+]
+
+
 @pytest.fixture()
 def pool():
     """The encoder's sample pool, BLAS pinned to one thread while the test

@@ -294,14 +294,14 @@ class TestKdEval:
         tl = tmp_path / "teacher.tlog"
         save_teacher_logits(tl, np.zeros((5, 3), np.float32))
         with pytest.raises(AlignmentError, match=r"5.*9|9.*5"):
-            kd_eval(run_inference(tiny_model, manifest, r=0), tl, KdConfig(), r=0)
+            kd_eval(run_inference(tiny_model, manifest, r=0), tl, KdConfig())
 
     def test_lambda_one_reports_ground_truth_only(self, tmp_path, tiny_model, tiny_dataset_dir):
         base, manifest, _, labels = tiny_dataset_dir
         tl = tmp_path / "teacher.tlog"
         save_teacher_logits(tl, np.zeros((9, 3), np.float32))
         report = kd_eval(
-            run_inference(tiny_model, manifest, r=0), tl, KdConfig(lam=1.0), r=0
+            run_inference(tiny_model, manifest, r=0), tl, KdConfig(lam=1.0)
         )
         assert report["loss"] == pytest.approx(report["loss_g"], abs=1e-12)
 
@@ -310,7 +310,7 @@ class TestKdEval:
         student = run_inference(tiny_model, manifest, r=0)
         tl = tmp_path / "teacher.tlog"
         save_teacher_logits(tl, student.logits.astype(np.float32))
-        report = kd_eval(student, tl, KdConfig(lam=0.0, tau=1.0), r=0)
+        report = kd_eval(student, tl, KdConfig(lam=0.0, tau=1.0))
         p = student.probabilities.astype(np.float64)
         entropy = float(-(p * np.log(p)).sum(axis=1).mean())
         assert report["loss_d"] == pytest.approx(entropy, rel=1e-5)
@@ -321,7 +321,7 @@ class TestKdEval:
         tl = tmp_path / "teacher.tlog"
         save_teacher_logits(tl, rng.standard_normal((9, 3)).astype(np.float32))
         report = kd_eval(
-            run_inference(tiny_model, manifest, r=0), tl, KdConfig(lam=0.1, tau=1.0), r=0
+            run_inference(tiny_model, manifest, r=0), tl, KdConfig(lam=0.1, tau=1.0)
         )
         assert report["loss"] == pytest.approx(
             0.1 * report["loss_g"] + 0.9 * report["loss_d"], abs=1e-12
@@ -336,7 +336,7 @@ class TestKdEval:
         save_teacher_logits(tl, teacher)
         result = run_inference(tiny_model, manifest, r=1)
         kd_cfg = KdConfig(lam=0.3, tau=2.0)
-        report = kd_eval(result, tl, kd_cfg, r=1, batch_size=4)
+        report = kd_eval(result, tl, kd_cfg, batch_size=4)
         rows = report["per_batch"]
         assert [row["start"] for row in rows] == [0, 4, 8]
         assert [row["size"] for row in rows] == [4, 4, 1]

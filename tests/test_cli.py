@@ -3,7 +3,6 @@
 import json
 import re
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from astmerge import (
     save_model,
 )
 from astmerge.cli import main
-from astmerge.model_io import _tensor_table
+
+from conftest import DEPTH1_TENSOR_AXES
 
 # Every MODL1 header field, as (section, key); section None is the top level.
 MODL1_FIELDS = [
@@ -45,16 +45,6 @@ HEADER_FIELDS = [
     ("WAV", "bits", 34, "<H", [(0,), (8,), (24,)]),
     ("WAV", "data-length", 40, "<I", [(0,), (5122,), (0xFFFFFFFF,)]),
 ]
-
-# (tensor name, axis) for every axis of every tensor of a depth-1 model.
-DEPTH1_TENSOR_AXES = [
-    (name, axis)
-    for name, t in _tensor_table(generate_synthetic_model(0, ModelConfig(
-        depth=1, embed_dim=16, n_heads=2, mlp_ratio=2.0, clip_seconds=0.16, n_classes=3,
-    )))
-    for axis in range(t.ndim)
-]
-
 
 def edited_model(model, out, edit):
     """Copy the MODL1 file ``model`` to ``out`` with ``edit`` applied to its
@@ -252,6 +242,37 @@ class TestErrorReporting:
         assert err.startswith("error:config: batch_size and threads must be >= 1")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("setting, named", [
+        (["--r", "-1"], "reduction factors must be >= 0"),
+        (["--warmup-runs", "-5"], "warmup_runs must be >= 0"),
+        (["--measured-runs", "0"], "measured_runs must be >= 3"),
+        (["--lambda", "7"], "lambda must be in [0, 1]"),
+        (["--tau", "nan"], "temperature must be finite"),
+    ], ids=["r-minus-1", "warmup-minus-5", "measured-0", "lambda-7", "tau-nan"])
+    def test_bad_single_r_setting_is_config_error(self, workspace, capsys, setting, named):
+        """A single-r run without a teacher file checks every bench setting
+        before reading a clip, as a sweep does."""
+        tmp, model, manifest, _ = workspace
+        for clip in (tmp / "data" / "specs").iterdir():
+            clip.unlink()
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+            *setting,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:config: {named}") and len(err.splitlines()) == 1
+
+    def test_empty_r_sweep_is_config_error(self, workspace, capsys):
+        _, model, manifest, _ = workspace
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r-sweep", "",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config: --r-sweep lists no values")
+        assert len(err.splitlines()) == 1
+
     def test_head_width_mismatch_is_shape_error(self, workspace, capsys):
         tmp, _, manifest, _ = workspace
         cfg = ModelConfig(
@@ -259,9 +280,9 @@ class TestErrorReporting:
             clip_seconds=0.16, n_classes=3,
         )
         weights = generate_synthetic_model(0, cfg)
-        head = HeadWeights(linear=weights.head.linear[:31], bias=weights.head.bias)
+        weights.head = HeadWeights(linear=weights.head.linear[:31], bias=weights.head.bias)
         bad = tmp / "narrow_head.modl"
-        save_model(bad, replace(weights, head=head))
+        save_model(bad, weights)
         code = main([
             "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
         ])
@@ -393,6 +414,27 @@ class TestErrorReporting:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("edit, entry, named", [
+        (lambda ts: ts[1].update(name="patch.renamed"), 1, "patch.renamed"),
+        (lambda ts: ts.insert(2, dict(ts[1])), 2, "patch.projection_bias"),
+        (lambda ts: ts.pop(1), 1, "patch.positional"),
+        (lambda ts: ts.insert(0, ts.pop(1)), 0, "patch.projection_bias"),
+    ], ids=["renamed", "duplicated", "dropped", "swapped"])
+    def test_tensor_table_off_layout_is_format_error(
+        self, workspace, capsys, edit, entry, named
+    ):
+        """A tensor table that is not the layout's names in order names its
+        first differing entry in one format line."""
+        tmp, model, manifest, _ = workspace
+        bad = edited_model(model, tmp / "bad_table.modl", lambda h: edit(h["tensors"]))
+        code = main([
+            "bench", "--model", str(bad), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:format:") and len(err.splitlines()) == 1
+        assert f"entry {entry} is {named!r}" in err
 
     @pytest.mark.parametrize("name, axis", DEPTH1_TENSOR_AXES,
                              ids=[f"{n}[{a}]" for n, a in DEPTH1_TENSOR_AXES])

@@ -55,14 +55,6 @@ class TestClassify:
         with pytest.raises(ConfigError):
             _predict(w, "ranking", np.zeros(2, np.float32))
 
-    def test_head_shape_mismatch_rejected(self):
-        w = head(3, 2)
-        with pytest.raises(ShapeError):
-            _predict(w, "single-label", np.zeros((4, 2), np.float32))
-        short_bias = HeadWeights(linear=w.linear, bias=w.bias[:1])
-        with pytest.raises(ShapeError):
-            _predict(short_bias, "single-label", np.zeros((4, 3), np.float32))
-
 
 class TestOneHot:
     def test_rows_are_float64_indicators(self):

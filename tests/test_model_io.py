@@ -26,7 +26,6 @@ from astmerge.errors import AlignmentError, ConfigError, ShapeError
 from astmerge.head import softmax
 from astmerge.model_io import (
     _MODL1_HEADER,
-    _tensor_table,
     class_templates,
     generate_synthetic_teacher_logits,
 )
@@ -43,7 +42,7 @@ TINY_SEED0_SHA256 = "02d46c90e8fb6ce4799d173ffd5d060250ba00e3652e19e7ef8a7352e1a
 
 def model_digest(weights):
     h = hashlib.sha256()
-    for _, t in _tensor_table(weights):
+    for _, t in weights.tensors():
         h.update(np.ascontiguousarray(t, dtype="<f4").tobytes())
     return h.hexdigest()
 
@@ -57,7 +56,7 @@ class TestModelFile:
         save_model(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.config == w.config
-        for (n1, t1), (n2, t2) in zip(_tensor_table(w), _tensor_table(loaded)):
+        for (n1, t1), (n2, t2) in zip(w.tensors(), loaded.tensors()):
             assert n1 == n2
             assert t2.dtype == np.float32 and t2.flags.c_contiguous and t2.flags.writeable
             np.testing.assert_array_equal(t1.view(np.uint32), t2.view(np.uint32))
@@ -112,7 +111,7 @@ class TestModelFile:
     def test_writing_one_tensor_leaves_the_others(self, tmp_path):
         """The tensors share one buffer; none overlaps another."""
         save_model(tmp_path / "m.modl", generate_synthetic_model(4, TINY))
-        table = _tensor_table(load_model(tmp_path / "m.modl"))
+        table = load_model(tmp_path / "m.modl").tensors()
         before = [t.copy() for _, t in table]
         for i, (name, t) in enumerate(table):
             t[...] = np.float32(i + 0.5)
@@ -129,7 +128,7 @@ class TestModelFile:
             depth=2, embed_dim=64, n_heads=2, mlp_ratio=4.0, clip_seconds=1.0, n_classes=4,
         ))
         save_model(tmp_path / "m.modl", w)
-        payload = sum(t.nbytes for _, t in _tensor_table(w))
+        payload = sum(t.nbytes for _, t in w.tensors())
         tracemalloc.start()
         try:
             load_model(tmp_path / "m.modl")
@@ -163,7 +162,7 @@ class TestSyntheticModel:
         (LayerNorm gains and biases are deterministic constants)."""
         a = generate_synthetic_model(0, TINY)
         b = generate_synthetic_model(1, TINY)
-        for (name, ta), (_, tb) in zip(_tensor_table(a), _tensor_table(b)):
+        for (name, ta), (_, tb) in zip(a.tensors(), b.tensors()):
             if "gain" in name or "bias" in name or "ln" in name:
                 continue
             assert np.mean(ta != tb) > 0.99, name

@@ -118,10 +118,6 @@ class TestEmbedPatches:
         ref = [naive_matmul(p, w.projection) + w.projection_bias for p in patches]
         np.testing.assert_allclose(embed_patches(patches, w), ref, atol=1e-6)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            embed_patches(np.zeros((1, 3, 100), dtype=np.float32), self.weights())
-
 
 class TestAddPositionalAndCls:
     def test_all_zero(self):
@@ -162,13 +158,3 @@ class TestAddPositionalAndCls:
         )
         assert tokens.shape[1] == 589
         assert np.all(sizes == 1.0)
-
-    def test_positional_mismatch_rejected(self):
-        w = EmbeddingWeights(
-            projection=np.zeros((256, 4), np.float32),
-            projection_bias=np.zeros(4, np.float32),
-            positional=np.zeros((5, 4), np.float32),
-            cls_token=np.zeros(4, np.float32),
-        )
-        with pytest.raises(ConfigError):
-            add_positional_and_cls(np.zeros((1, 7, 4), np.float32), w)

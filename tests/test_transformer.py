@@ -1,6 +1,7 @@
 """Encoder blocks: attention oracle, merge placement, count laws, and the
 proportional-attention equivalence that justifies size tracking."""
 
+import re
 import sys
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from astmerge import (
 )
 from astmerge.transformer import (
     BlockWeights,
+    ModelWeights,
     attention_batch,
     encoder_forward_batch,
     forward_spectrograms,
@@ -28,7 +30,7 @@ from astmerge.features import fit_frames
 from astmerge.pool import sample_pool
 from astmerge.tome import merge_step
 
-from conftest import random_token_sequence
+from conftest import DEPTH1_TENSOR_AXES, random_token_sequence
 from oracles import naive_attention
 
 
@@ -418,3 +420,28 @@ class TestModelWeights:
     def test_extra_block_rejected(self, tiny_model):
         with pytest.raises(ConfigError, match="depth 1 but carries 2 blocks"):
             replace(tiny_model, blocks=tiny_model.blocks * 2)
+
+    @pytest.mark.parametrize("name, axis", DEPTH1_TENSOR_AXES,
+                             ids=[f"{n}[{a}]" for n, a in DEPTH1_TENSOR_AXES])
+    def test_tensor_off_by_one_is_shape_error(self, tiny_model, name, axis):
+        """Building or replace-ing a model with one tensor a row or column off
+        its layout names that tensor."""
+        tensors = dict(tiny_model.tensors())
+        shape = list(tensors[name].shape)
+        shape[axis] += 1
+        bad = tensors[name] = np.zeros(shape, np.float32)
+        named = re.escape(repr(name))
+        with pytest.raises(ShapeError, match=named):
+            ModelWeights.from_tensors(
+                tensors, config=tiny_model.config, spec_config=tiny_model.spec_config
+            )
+        owner, _, field = name.rpartition(".")
+        if owner == "":
+            change = {field: bad}
+        elif owner == "block0":
+            change = {"blocks": [replace(tiny_model.blocks[0], **{field: bad})]}
+        else:
+            attr = {"patch": "embedding", "head": "head"}[owner]
+            change = {attr: replace(getattr(tiny_model, attr), **{field: bad})}
+        with pytest.raises(ShapeError, match=named):
+            replace(tiny_model, **change)
