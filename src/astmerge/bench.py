@@ -31,7 +31,7 @@ from .head import (
     softmax,
     sigmoid,
 )
-from .kd import KdBatch, KdConfig, component_losses, load_teacher_logits
+from .kd import KdBatch, KdConfig, component_losses, kd_loss, load_teacher_logits
 from .model_io import DatasetManifest
 from .pool import pool_plan
 from .tome import ToMeConfig
@@ -74,18 +74,20 @@ class SweepRow:
     drop: float
     samples_per_second: float
     final_token_count: int
+
+
+@dataclass
+class SweepResult:
+    """One sweep: the settings and encoder pool of the run, then a row per r."""
+
+    metric_name: str
+    batch_size: int
     thread_count: int  # the --threads value
     workers: int  # the encoder pool's workers
     blas_pinned: bool  # BLAS ran one thread inside the forward
     warmup_runs: int
     measured_runs: int
-
-
-@dataclass
-class SweepResult:
-    metric_name: str
     rows: list[SweepRow]
-    batch_size: int
 
 
 @dataclass
@@ -117,17 +119,20 @@ def load_inputs(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
         path = Path(rel_path)
         if not path.is_absolute():
             path = base / path
-        if path.suffix.lower() == ".wav":
-            values = compute_log_mel(read_wav(path), weights.spec_config).values
-        else:
-            values = load_spec(path, out=row).values
-        if values.shape[0] != weights.spec_config.n_mels:
-            raise ShapeError(
-                f"{path}: clip has {values.shape[0]} mel bins, the model expects "
-                f"{weights.spec_config.n_mels}"
-            )
-        if values is not row:
-            row[...] = fit_frames(values, frames)
+        try:
+            if path.suffix.lower() == ".wav":
+                values = compute_log_mel(read_wav(path), weights.spec_config).values
+            else:
+                values = load_spec(path, out=row).values
+            if values.shape[0] != weights.spec_config.n_mels:
+                raise ShapeError(
+                    f"clip has {values.shape[0]} mel bins, the model expects "
+                    f"{weights.spec_config.n_mels}"
+                )
+            if values is not row:
+                row[...] = fit_frames(values, frames)
+        except (ConfigError, ShapeError) as e:  # read_wav/load_spec name the file
+            raise type(e)(f"{path}: {e}") from e
     return stack
 
 
@@ -152,12 +157,7 @@ def _predict(
     """(logits, probabilities): linear readout of CLS rows plus the task's
     activation, softmax for single-label and sigmoid for multi-label."""
     logits = cls @ head.linear + head.bias
-    if task_kind == "single-label":
-        probs = softmax(logits)
-    elif task_kind == "multi-label":
-        probs = sigmoid(logits)
-    else:
-        raise ConfigError(f"unknown task kind {task_kind!r}")
+    probs = softmax(logits) if task_kind == "single-label" else sigmoid(logits)
     return logits, probs
 
 
@@ -249,17 +249,17 @@ def benchmark_throughput(
                 drop=metric - rows[0].metric if rows else 0.0,  # first row is r = 0
                 samples_per_second=specs.shape[0] / seconds,
                 final_token_count=results[r].per_block_counts[-1],
-                thread_count=cfg.threads,
-                workers=workers,
-                blas_pinned=blas_entry > 1,
-                warmup_runs=cfg.warmup_runs,
-                measured_runs=cfg.measured_runs,
             )
         )
     return SweepResult(
         metric_name=metric_name,
-        rows=rows,
         batch_size=cfg.batch_size,
+        thread_count=cfg.threads,
+        workers=workers,
+        blas_pinned=blas_entry > 1,
+        warmup_runs=cfg.warmup_runs,
+        measured_runs=cfg.measured_runs,
+        rows=rows,
     )
 
 
@@ -267,17 +267,12 @@ def sweep_report(result: SweepResult) -> tuple[str, str]:
     """(JSON document, CSV table) for one sweep.
 
     CSV columns are fixed as r,metric,drop,s_per_s,tokens_final with '.'
-    decimals; the JSON carries every SweepRow field and parses back to the
-    exact values.
+    decimals; the JSON is the SweepResult itself, run-level fields once at
+    the top and one object per row, and parses back to the exact values.
     """
     if not result.rows:
         raise ConfigError("cannot report an empty sweep")
-    doc = {
-        "metric_name": result.metric_name,
-        "batch_size": result.batch_size,
-        "rows": [asdict(row) for row in result.rows],
-    }
-    json_text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    json_text = json.dumps(asdict(result), sort_keys=True, indent=2) + "\n"
     lines = ["r,metric,drop,s_per_s,tokens_final"]
     for row in result.rows:
         lines.append(
@@ -305,19 +300,13 @@ def kd_eval(
         )
 
     def losses(sl: slice) -> dict[str, float]:
-        loss_g, loss_d = component_losses(
-            KdBatch(
-                student_logits=result.logits[sl],
-                teacher_logits=teacher[sl],
-                labels=result.labels[sl],
-            ),
-            kd_cfg,
+        batch = KdBatch(
+            student_logits=result.logits[sl],
+            teacher_logits=teacher[sl],
+            labels=result.labels[sl],
         )
-        return {
-            "loss": kd_cfg.lam * loss_g + (1.0 - kd_cfg.lam) * loss_d,
-            "loss_g": loss_g,
-            "loss_d": loss_d,
-        }
+        loss_g, loss_d = component_losses(batch, kd_cfg)
+        return {"loss": kd_loss(batch, kd_cfg), "loss_g": loss_g, "loss_d": loss_d}
 
     per_batch = [
         {"start": start, "size": min(batch_size, n - start)}

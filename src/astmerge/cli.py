@@ -67,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--r", type=int, default=None, help="single reduction factor")
     mode.add_argument(
         "--r-sweep",
-        default=None,
-        help=f"comma-separated reduction factors (default {','.join(map(str, DEFAULT_R_SWEEP))})",
+        default=",".join(map(str, DEFAULT_R_SWEEP)),
+        help="comma-separated reduction factors (default %(default)s)",
     )
     b.add_argument("--batch", type=int, default=16)
     b.add_argument("--threads", type=int, default=1)
@@ -124,14 +124,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError("--out-csv writes a sweep table; it needs --r-sweep, not --r")
     if args.r is None and args.teacher_logits is not None:
         raise ConfigError("--teacher-logits needs a single --r run, not a sweep")
-    r_values = DEFAULT_R_SWEEP
-    if args.r is not None:
-        r_values = (args.r,)
-    elif args.r_sweep is not None:
-        r_values = _parse_sweep(args.r_sweep)
     # Every setting is checked before any clip is read, in both modes.
     cfg = BenchConfig(
-        r_values=r_values,
+        r_values=(args.r,) if args.r is not None else _parse_sweep(args.r_sweep),
         batch_size=args.batch,
         warmup_runs=args.warmup_runs,
         measured_runs=args.measured_runs,
@@ -142,9 +137,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
 
     if args.r is not None:
-        result = run_inference(
-            weights, manifest, args.r, batch_size=args.batch, threads=args.threads
-        )
+        result = run_inference(weights, manifest, args.r, cfg.batch_size, cfg.threads)
         report = {
             "r": args.r,
             "metrics": result.metrics,
@@ -153,18 +146,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "n_samples": int(result.probabilities.shape[0]),
         }
         if args.teacher_logits is not None:
-            report["kd"] = kd_eval(result, args.teacher_logits, kd, batch_size=args.batch)
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.out_json:
-            Path(args.out_json).write_text(text)
-        sys.stdout.write(text)
-        return 0
-
-    result = benchmark_throughput(weights, manifest, cfg)
-    json_text, csv_text = sweep_report(result)
+            report["kd"] = kd_eval(result, args.teacher_logits, kd, cfg.batch_size)
+        json_text, csv_text = json.dumps(report, sort_keys=True, indent=2) + "\n", None
+    else:
+        json_text, csv_text = sweep_report(benchmark_throughput(weights, manifest, cfg))
     if args.out_json:
         Path(args.out_json).write_text(json_text)
-    if args.out_csv:
+    if args.out_csv:  # a sweep's; --r with --out-csv was refused above
         Path(args.out_csv).write_text(csv_text)
     sys.stdout.write(json_text)
     return 0

@@ -169,12 +169,9 @@ def compute_log_mel(w: Waveform, cfg: SpectrogramConfig) -> Spectrogram:
         padded = np.pad(x, pad, mode="reflect")
     else:
         padded = np.pad(x, pad, mode="constant")  # degenerate ultra-short clip
-    # Ensure the last frame start (n_frames-1)*hop has a full window available.
-    needed = (n_frames - 1) * hop + win
-    if padded.size < needed:
-        padded = np.pad(padded, (0, needed - padded.size), mode="constant")
 
     window = _hann_window(win)
+    # padded.size >= x.size - 1 + win >= (n_frames - 1) * hop + win: every frame is whole.
     frames = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop][:n_frames]
     spectrum = np.fft.rfft(frames * window, n=n_fft, axis=1)
     power = np.abs(spectrum) ** 2  # [n_frames x n_bins]

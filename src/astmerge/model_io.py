@@ -217,7 +217,15 @@ class DatasetManifest:
                     f"manifest entry {i}: label row of shape {row.shape}, expected "
                     f"{n_classes} classes"
                 )
-        return np.stack(rows) if rows else np.zeros((0, n_classes))
+        labels = np.stack(rows) if rows else np.zeros((0, n_classes))
+        off = ~((labels == 0) | (labels == 1)).all(axis=1)  # NaN is neither
+        if off.any():
+            i = int(off.argmax())
+            raise AlignmentError(
+                f"manifest entry {i}: multi-label row {rows[i].tolist()} holds a value "
+                "other than 0 and 1"
+            )
+        return labels
 
 
 def save_manifest(path: str | Path, manifest: DatasetManifest) -> None:

@@ -184,10 +184,9 @@ class TestBenchmark:
         result = benchmark_throughput(tiny_model, manifest, cfg)
         assert [row.r for row in result.rows] == [0, 2, 4]
         assert result.rows[0].drop == 0.0
+        assert (result.warmup_runs, result.measured_runs, result.thread_count) == (1, 3, 1)
         for row in result.rows:
             assert row.samples_per_second > 0
-            assert row.measured_runs == 3
-            assert row.thread_count == 1
             assert row.final_token_count == count_trajectory(13, 1, row.r)[-1]
 
     def test_metric_columns_reproducible(self, tiny_model, tiny_dataset_dir):
@@ -271,7 +270,15 @@ class TestSweepReport:
         cfg = BenchConfig(r_values=(0, 2), batch_size=4, warmup_runs=0)
         result = benchmark_throughput(tiny_model, manifest, cfg)
         json_text, csv_text = sweep_report(result)
-        assert json.loads(json_text) == asdict(result)
+        doc = json.loads(json_text)
+        assert doc == asdict(result)
+        # Run-level fields once, at the top; each row holds only its r's values.
+        assert set(doc) == {
+            "metric_name", "batch_size", "thread_count", "workers", "blas_pinned",
+            "warmup_runs", "measured_runs", "rows",
+        }
+        for row in doc["rows"]:
+            assert set(row) == {"r", "metric", "drop", "samples_per_second", "final_token_count"}
         lines = csv_text.strip().splitlines()
         assert lines[0] == "r,metric,drop,s_per_s,tokens_final"
         assert len(lines) == 3
@@ -285,7 +292,10 @@ class TestSweepReport:
 
     def test_empty_report_rejected(self):
         with pytest.raises(ConfigError):
-            sweep_report(SweepResult(metric_name="accuracy", rows=[], batch_size=1))
+            sweep_report(SweepResult(
+                metric_name="accuracy", batch_size=1, thread_count=1, workers=1,
+                blas_pinned=False, warmup_runs=0, measured_runs=3, rows=[],
+            ))
 
 
 class TestKdEval:

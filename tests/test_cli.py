@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from astmerge import (
     save_model,
 )
 from astmerge.cli import main
+from astmerge.features import Spectrogram, Waveform, save_spec, write_wav
 
 from conftest import DEPTH1_TENSOR_AXES
 
@@ -45,6 +47,14 @@ HEADER_FIELDS = [
     ("WAV", "bits", 34, "<H", [(0,), (8,), (24,)]),
     ("WAV", "data-length", 40, "<I", [(0,), (5122,), (0xFFFFFFFF,)]),
 ]
+
+def write_empty_wav(path):
+    """A well-formed 16 kHz mono 16-bit WAV holding no samples."""
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(1)
+        f.setsampwidth(2)
+        f.setframerate(16000)
+
 
 def edited_model(model, out, edit):
     """Copy the MODL1 file ``model`` to ``out`` with ``edit`` applied to its
@@ -542,8 +552,6 @@ class TestErrorReporting:
         ids=["not-riff", "truncated-header", "truncated-data", "empty", "data-short-of-header"],
     )
     def test_corrupt_wav_is_format_error(self, workspace, capsys, cut):
-        from astmerge.features import Waveform, write_wav
-
         tmp, model, _, _ = workspace
         good = tmp / "good.wav"
         write_wav(good, Waveform(samples=np.zeros(2560), sample_rate=16000))
@@ -562,12 +570,39 @@ class TestErrorReporting:
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
         assert "bad.wav" in err
 
+    @pytest.mark.parametrize(
+        "name, write, category",
+        [
+            ("bad.spec", lambda p: save_spec(p, Spectrogram(np.zeros((128, 40), np.float32))),
+             "shape"),  # 40 frames, the model takes at most 16
+            ("bad.wav", write_empty_wav, "config"),
+            ("bad.wav", lambda p: write_wav(p, Waveform(np.zeros(40), sample_rate=40)),
+             "config"),  # a 40 Hz rate leaves no window
+        ],
+        ids=["overlong-spec", "empty-wav", "40-hz-wav"],
+    )
+    def test_unfit_clip_error_names_the_file(self, workspace, capsys, name, write, category):
+        tmp, model, _, _ = workspace
+        write_wav(tmp / "good.wav", Waveform(samples=np.zeros(2560), sample_rate=16000))
+        write(tmp / name)
+        manifest = tmp / "unfit_manifest.jsonl"
+        manifest.write_text("\n".join(json.dumps(row) for row in [
+            {"magic": "MANI1", "task_kind": "single-label", "clip_seconds": 0.16},
+            {"path": "good.wav", "label": 0},
+            {"path": name, "label": 1},
+        ]) + "\n")
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:{category}:") and len(err.splitlines()) == 1
+        assert name in err
+
     @staticmethod
     def bench_input(workspace, fmt):
         """(the file of format ``fmt`` that a bench run reads, the length of
         its header, the bench argv). The whole MANI1 file counts as header."""
-        from astmerge.features import Waveform, write_wav
-
         tmp, model, manifest, teacher = workspace
         extra = []
         if fmt == "MODL1":

@@ -50,11 +50,6 @@ class TestClassify:
         p = softmax(z)
         assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) <= 1e-6
 
-    def test_unknown_task_rejected(self):
-        w = head(2, 2)
-        with pytest.raises(ConfigError):
-            _predict(w, "ranking", np.zeros(2, np.float32))
-
 
 class TestOneHot:
     def test_rows_are_float64_indicators(self):

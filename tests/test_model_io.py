@@ -289,8 +289,12 @@ class TestManifest:
             (1, 3, ShapeError),
             (["a", 0, 1], 3, AlignmentError),
             ([[1], [0, 1]], 3, AlignmentError),
+            ([2, 0, 0], 3, AlignmentError),
+            ([0, -1, 1], 3, AlignmentError),
+            ([0.5, 0, 1], 3, AlignmentError),
+            ([float("nan"), 1, 0], 3, AlignmentError),
         ],
-        ids=["short", "nested", "scalar", "string", "jagged"],
+        ids=["short", "nested", "scalar", "string", "jagged", "two", "minus-one", "half", "nan"],
     )
     def test_malformed_multi_label_row_rejected(self, label, n_classes, error):
         m = DatasetManifest(

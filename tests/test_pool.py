@@ -154,8 +154,8 @@ def test_missing_blas_symbols_run_serially_and_deterministically(
 )
 def test_sweep_reports_the_pool_that_ran(small_model, clips, monkeypatch, threads, blas, pinned):
     """A forced 2-worker pool, from --threads 2 over a one-thread BLAS and
-    from a 2-thread BLAS under --threads 1: each sweep row and the JSON
-    report carry the workers every forward's pool had and the BLAS pin."""
+    from a 2-thread BLAS under --threads 1: the sweep and its JSON report
+    carry, once, the workers every forward's pool had and the BLAS pin."""
     state = [blas]
     controls = (lambda: state[0], lambda k: state.__setitem__(0, k))
     monkeypatch.setattr(pool, "blas_threads", lambda: controls)
@@ -171,8 +171,7 @@ def test_sweep_reports_the_pool_that_ran(small_model, clips, monkeypatch, thread
     result = benchmark_throughput(small_model, manifest, cfg, inputs=specs)
     assert set(seen) == {2} and state[0] == blas
     doc = json.loads(sweep_report(result)[0])
-    for row in doc["rows"]:
-        assert (row["thread_count"], row["workers"], row["blas_pinned"]) == (threads, 2, pinned)
+    assert (doc["thread_count"], doc["workers"], doc["blas_pinned"]) == (threads, 2, pinned)
 
 
 def test_split_covers_the_range_and_reraises_worker_errors():
