@@ -55,7 +55,6 @@ from .model_io import (
 )
 from .patchify import (
     EmbeddingWeights,
-    PatchGrid,
     add_positional_and_cls,
     embed_patches,
     extract_patches,

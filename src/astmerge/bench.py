@@ -174,10 +174,16 @@ def _metrics(
 
 
 def _labels(manifest: DatasetManifest, weights: ModelWeights) -> np.ndarray:
-    """The manifest's labels, checked against the model's task and classes."""
+    """The manifest's labels, checked against the model's task, clip length
+    and classes."""
     if manifest.task_kind != weights.config.task_kind:
         raise AlignmentError(
             f"manifest is {manifest.task_kind}, model is {weights.config.task_kind}"
+        )
+    if not 0 < manifest.clip_seconds <= weights.config.clip_seconds:  # NaN fails too
+        raise AlignmentError(
+            f"manifest declares {manifest.clip_seconds} s clips, the model takes "
+            f"clips of up to {weights.config.clip_seconds} s"
         )
     return manifest.labels_array(weights.config.n_classes)
 
@@ -211,7 +217,6 @@ def benchmark_throughput(
     weights: ModelWeights,
     manifest: DatasetManifest,
     cfg: BenchConfig,
-    inputs: np.ndarray | None = None,
 ) -> SweepResult:
     """Sweep r, timing samples/second per pass and scoring the predictions.
 
@@ -221,7 +226,7 @@ def benchmark_throughput(
     if 0 not in cfg.r_values:
         raise ConfigError("r sweep must include r = 0; the drop column needs it")
     _labels(manifest, weights)  # a misaligned manifest fails before any clip is read
-    specs = inputs if inputs is not None else load_inputs(manifest, weights)
+    specs = load_inputs(manifest, weights)
     metric_name = "accuracy" if weights.config.task_kind == "single-label" else "map"
 
     r_values = sorted(set(cfg.r_values))

@@ -90,14 +90,6 @@ class Spectrogram:
 
     values: np.ndarray
 
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
 
 def frames_for_duration(seconds: float, frames_per_second: int = 100) -> int:
     """Frame count of a clip: ceil(fps * seconds), robust to float noise."""

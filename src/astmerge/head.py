@@ -18,7 +18,7 @@ from .errors import ConfigError, ShapeError
 TASK_KINDS = ("single-label", "multi-label")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeadWeights:
     linear: np.ndarray  # [d x n_classes]
     bias: np.ndarray  # [n_classes]

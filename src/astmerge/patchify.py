@@ -27,16 +27,6 @@ PATCH_VALUES = PATCH_SIZE * PATCH_SIZE
 
 
 @dataclass(frozen=True)
-class PatchGrid:
-    n_freq_patches: int
-    n_time_patches: int
-
-    @property
-    def total(self) -> int:
-        return self.n_freq_patches * self.n_time_patches
-
-
-@dataclass
 class EmbeddingWeights:
     projection: np.ndarray  # [256 x d]
     projection_bias: np.ndarray  # [d]
@@ -46,9 +36,15 @@ class EmbeddingWeights:
 
 def _axis_patches(extent: int) -> int:
     # Valid-origin counting: origins 0, stride, 2*stride, ... that still fit.
-    if extent < PATCH_SIZE:
-        return 0
     return (extent - PATCH_SIZE) // PATCH_STRIDE + 1
+
+
+def _check_extent(n_mels: int, n_frames: int) -> None:
+    if min(n_mels, n_frames) < PATCH_SIZE:
+        raise ShapeError(
+            f"spectrogram {n_mels} x {n_frames} is smaller than one "
+            f"{PATCH_SIZE} x {PATCH_SIZE} patch"
+        )
 
 
 def patch_count(clip_seconds: float, spec: SpectrogramConfig | None = None) -> int:
@@ -66,21 +62,11 @@ def patch_count(clip_seconds: float, spec: SpectrogramConfig | None = None) -> i
             f"clip of {clip_seconds} s ({n_frames} frames) is shorter than one "
             f"{PATCH_SIZE}-frame patch"
         )
-    return patch_grid(spec.n_mels, n_frames).total
+    _check_extent(spec.n_mels, n_frames)
+    return _axis_patches(spec.n_mels) * _axis_patches(n_frames)
 
 
-def patch_grid(n_mels: int, n_frames: int) -> PatchGrid:
-    nf = _axis_patches(n_mels)
-    nt = _axis_patches(n_frames)
-    if nf == 0 or nt == 0:
-        raise ShapeError(
-            f"spectrogram {n_mels} x {n_frames} is smaller than one "
-            f"{PATCH_SIZE} x {PATCH_SIZE} patch"
-        )
-    return PatchGrid(n_freq_patches=nf, n_time_patches=nt)
-
-
-def extract_patches(values: np.ndarray) -> tuple[np.ndarray, PatchGrid]:
+def extract_patches(values: np.ndarray) -> np.ndarray:
     """Cut a [B x mels x frames] stack into [B x N x 256] flattened patches.
 
     Patch (i, j) covers mel rows [stride*i, stride*i + 16) and frames
@@ -91,16 +77,15 @@ def extract_patches(values: np.ndarray) -> tuple[np.ndarray, PatchGrid]:
     values = np.asarray(values, dtype=np.float32)
     if values.ndim != 3:
         raise ShapeError(f"expected [B x mels x frames], got shape {values.shape}")
-    grid = patch_grid(values.shape[1], values.shape[2])
+    _check_extent(values.shape[1], values.shape[2])
     p, st = PATCH_SIZE, PATCH_STRIDE
     windows = np.lib.stride_tricks.sliding_window_view(values, (p, p), axis=(1, 2))
-    windows = windows[:, ::st, ::st]  # [B, nf, nt, p, p]
-    patches = (
-        windows[:, : grid.n_freq_patches, : grid.n_time_patches]
-        .transpose(0, 2, 1, 3, 4)  # time-major, frequency varies fastest
-        .reshape(values.shape[0], grid.total, PATCH_VALUES)
-    )
-    return np.ascontiguousarray(patches), grid
+    windows = windows[:, ::st, ::st]  # [B, nf, nt, p, p]: the patch grid
+    b, nf, nt = windows.shape[:3]
+    patches = windows.transpose(0, 2, 1, 3, 4).reshape(b, nf * nt, PATCH_VALUES)
+    # time-major, frequency fastest; with one time column the reshape is a
+    # non-contiguous view of ``values``, so copy it
+    return np.ascontiguousarray(patches)
 
 
 def embed_patches(patches: np.ndarray, w: EmbeddingWeights) -> np.ndarray:

@@ -73,7 +73,7 @@ class ModelConfig:
         return int(round(self.mlp_ratio * self.embed_dim))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockWeights:
     ln1_gain: np.ndarray
     ln1_bias: np.ndarray
@@ -127,12 +127,12 @@ def tensor_layout(
 class ModelWeights:
     """Everything needed to run one model end to end. Every tensor is
     checked against ``tensor_layout`` when the model is built, so no compute
-    step re-checks a weight's shape."""
+    step re-checks a weight's shape; the weight records are frozen."""
 
     config: ModelConfig
     spec_config: SpectrogramConfig
     embedding: EmbeddingWeights
-    blocks: list[BlockWeights]
+    blocks: tuple[BlockWeights, ...]
     final_ln_gain: np.ndarray
     final_ln_bias: np.ndarray
     head: HeadWeights
@@ -170,7 +170,9 @@ class ModelWeights:
             owned.setdefault(owner, {})[field] = t
         return cls(
             embedding=EmbeddingWeights(**owned["patch"]),
-            blocks=[BlockWeights(**owned[f"block{i}"]) for i in range(fields["config"].depth)],
+            blocks=tuple(
+                BlockWeights(**owned[f"block{i}"]) for i in range(fields["config"].depth)
+            ),
             head=HeadWeights(**owned["head"]),
             **owned[""],
             **fields,
@@ -198,7 +200,8 @@ class ModelWeights:
 
     @property
     def n_tokens(self) -> int:
-        return 1 + patch_count(self.config.clip_seconds, self.spec_config)  # + [CLS]
+        """Patches plus [CLS]: the positional table's rows."""
+        return self.embedding.positional.shape[0]
 
 
 def layer_norm(
@@ -364,14 +367,17 @@ def encoder_forward_batch(
 def tokens_from_spectrogram(
     values: np.ndarray, weights: ModelWeights
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized [B x mels x frames] stack -> encoder-ready (tokens
-    [B x n x d], sizes [B x n]).
-
-    Pads shorter clips in time with zeros; clips longer than the model's
-    declared duration are rejected.
-    """
-    values = fit_frames(np.asarray(values, dtype=np.float32), weights.expected_frames)
-    patches, _ = extract_patches(values)
+    """Padded, normalized [B x mels x frames] stack -> encoder-ready (tokens
+    [B x n x d], sizes [B x n]). Each clip must be the model's
+    [n_mels x expected_frames]; ``forward_spectrograms`` pads before it
+    normalizes."""
+    values = np.asarray(values, dtype=np.float32)
+    clip = (weights.spec_config.n_mels, weights.expected_frames)
+    if values.ndim != 3 or values.shape[1:] != clip:
+        raise ShapeError(
+            f"expected a [B x {clip[0]} x {clip[1]}] stack, got shape {values.shape}"
+        )
+    patches = extract_patches(values)
     embedded = embed_patches(patches, weights.embedding)
     return add_positional_and_cls(embedded, weights.embedding)
 

@@ -283,18 +283,21 @@ def test_c08_metric_oracles():
     )
 
 
-def test_c09_throughput_trend(desk_model, desk_dataset):
+def test_c09_throughput_trend(desk_model, desk_dataset, tmp_path):
     specs, labels = desk_dataset
+    for i, values in enumerate(specs):
+        save_spec(tmp_path / f"{i:03d}.spec", Spectrogram(values))
     manifest = DatasetManifest(
-        entries=[(f"mem:{i}", int(labels[i])) for i in range(len(labels))],
+        entries=[(f"{i:03d}.spec", int(labels[i])) for i in range(len(labels))],
         task_kind="single-label",
         clip_seconds=5.0,
+        base_dir=tmp_path,
     )
     cfg = BenchConfig(
         r_values=(0, 10, 20, 30, 40), batch_size=16,
         warmup_runs=1, measured_runs=3, threads=1,
     )
-    result = benchmark_throughput(desk_model, manifest, cfg, inputs=specs)
+    result = benchmark_throughput(desk_model, manifest, cfg)
     speeds = [row.samples_per_second for row in result.rows]
     monotone = all(b >= 0.95 * a for a, b in zip(speeds, speeds[1:]))
     speedup = speeds[-1] / speeds[0]

@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import wave
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,6 +361,24 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith(f"error:{category}:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("seconds", [-3.0, 0.0, float("nan"), 0.4])
+    def test_clip_seconds_off_the_model_is_alignment_error(self, workspace, capsys, seconds):
+        """A manifest whose clips are not positive and at most the 0.16 s
+        model's length exits 2 naming both lengths, before any clip is read."""
+        tmp, model, manifest, _ = workspace
+        lines = manifest.read_text().splitlines()
+        doc = json.loads(lines[0]) | {"clip_seconds": seconds}
+        manifest.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+        for spec in (tmp / "data" / "specs").iterdir():
+            spec.unlink()
+        code = main([
+            "bench", "--model", str(model), "--manifest", str(manifest), "--r", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:alignment:") and len(err.splitlines()) == 1
+        assert f"{seconds} s clips" in err and "0.16 s" in err
+
     @pytest.mark.parametrize(
         "line, text, where",
         [
@@ -458,7 +477,13 @@ class TestErrorReporting:
                   "": weights, "head": weights.head}[owner]
         shape = list(getattr(holder, field).shape)
         shape[axis] += 1
-        setattr(holder, field, np.zeros(shape, dtype=np.float32))
+        bad_tensor = np.zeros(shape, dtype=np.float32)
+        if owner == "":
+            setattr(weights, field, bad_tensor)
+        else:  # the weight records are frozen; the model is not
+            attr = {"patch": "embedding", "block0": "blocks", "head": "head"}[owner]
+            edited = replace(holder, **{field: bad_tensor})
+            setattr(weights, attr, (edited,) if owner == "block0" else edited)
         bad = tmp / "bad_shape.modl"
         save_model(bad, weights)
         code = main([

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from astmerge import (
-    BenchConfig, DatasetManifest, ToMeConfig, benchmark_throughput, merge_step, pool,
-    run_inference, sweep_report, transformer,
+    BenchConfig, DatasetManifest, Spectrogram, ToMeConfig, benchmark_throughput, merge_step,
+    pool, run_inference, save_spec, sweep_report, transformer,
 )
 from astmerge.pool import SamplePool, blas_threads, sample_pool
 
@@ -21,14 +21,19 @@ needs_blas_control = pytest.mark.skipif(
 
 
 @pytest.fixture(scope="module")
-def clips(small_model):
+def clips(small_model, tmp_path_factory):
+    """(manifest, specs): 7 random clips, also written as the SPEC1 files
+    the manifest lists."""
     rng = np.random.default_rng(21)
     specs = rng.standard_normal(
         (7, small_model.spec_config.n_mels, small_model.expected_frames)
     ).astype(np.float32)
+    base = tmp_path_factory.mktemp("clips")
+    for i, values in enumerate(specs):
+        save_spec(base / f"{i}.spec", Spectrogram(values))
     manifest = DatasetManifest(
-        entries=[(f"mem:{i}", i % 5) for i in range(7)],
-        task_kind="single-label", clip_seconds=1.0,
+        entries=[(f"{i}.spec", i % 5) for i in range(7)],
+        task_kind="single-label", clip_seconds=1.0, base_dir=base,
     )
     return manifest, specs
 
@@ -166,9 +171,9 @@ def test_sweep_reports_the_pool_that_ran(small_model, clips, monkeypatch, thread
         init(self, workers)
 
     monkeypatch.setattr(SamplePool, "__init__", recorded)
-    manifest, specs = clips
+    manifest, _ = clips
     cfg = BenchConfig(r_values=(0, 6), batch_size=BATCH, warmup_runs=0, threads=threads)
-    result = benchmark_throughput(small_model, manifest, cfg, inputs=specs)
+    result = benchmark_throughput(small_model, manifest, cfg)
     assert set(seen) == {2} and state[0] == blas
     doc = json.loads(sweep_report(result)[0])
     assert (doc["thread_count"], doc["workers"], doc["blas_pinned"]) == (threads, 2, pinned)

@@ -3,7 +3,7 @@ proportional-attention equivalence that justifies size tracking."""
 
 import re
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -359,7 +359,7 @@ class TestPipeline:
 
     def test_short_clip_padded_long_rejected(self, tiny_model):
         short = np.zeros((1, 128, 10), dtype=np.float32)
-        tokens, _ = tokens_from_spectrogram(short, tiny_model)
+        tokens, _ = tokens_from_spectrogram(fit_frames(short, 16), tiny_model)
         assert tokens.shape[1] == 13
         with pytest.raises(ShapeError):
             tokens_from_spectrogram(np.zeros((1, 128, 17), np.float32), tiny_model)
@@ -376,11 +376,18 @@ class TestPipeline:
             alone, alone_sizes = tokens_from_spectrogram(specs[i : i + 1], small_model)
             np.testing.assert_array_equal(bits(tokens[i]), bits(alone[0]))
             np.testing.assert_array_equal(sizes[i], alone_sizes[0])
-        short, _ = tokens_from_spectrogram(specs[3:4, :, :61], small_model)
+        short, _ = tokens_from_spectrogram(fit_frames(specs[3:4, :, :61], 100), small_model)
         np.testing.assert_array_equal(bits(tokens[3]), bits(short[0]))
         with pytest.raises(ShapeError):
             tokens_from_spectrogram(np.zeros((2, 128, 101), np.float32), small_model)
 
+    @pytest.mark.parametrize("shape", [(2, 128, 10), (2, 128, 17), (2, 64, 16), (128, 16)],
+                             ids=["short", "long", "64-mel", "one-clip"])
+    def test_stack_off_the_model_clip_is_shape_error(self, tiny_model, shape):
+        """tokens_from_spectrogram takes only padded [B x 128 x 16] stacks;
+        a 64-mel stack used to end in a NumPy broadcast error."""
+        with pytest.raises(ShapeError, match=r"expected a \[B x 128 x 16\] stack"):
+            tokens_from_spectrogram(np.zeros(shape, np.float32), tiny_model)
 
     def test_short_clip_padded_before_normalizing(self, small_model):
         """A short clip gives the same bits as the clip zero-padded first,
@@ -420,6 +427,16 @@ class TestModelWeights:
     def test_extra_block_rejected(self, tiny_model):
         with pytest.raises(ConfigError, match="depth 1 but carries 2 blocks"):
             replace(tiny_model, blocks=tiny_model.blocks * 2)
+
+    def test_weight_records_are_frozen(self, tiny_model):
+        """A tensor cannot be swapped into a built model's records past the
+        construction check; it used to end in a broadcast error in the MLP."""
+        w = generate_synthetic_model(0, tiny_model.config)
+        assert isinstance(w.blocks, tuple)
+        for record, field in ((w.blocks[0], "mlp_in"), (w.embedding, "projection"),
+                              (w.head, "linear")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, np.zeros((16, 33), np.float32))
 
     @pytest.mark.parametrize("name, axis", DEPTH1_TENSOR_AXES,
                              ids=[f"{n}[{a}]" for n, a in DEPTH1_TENSOR_AXES])
