@@ -141,7 +141,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         report = {
             "r": args.r,
             "metrics": result.metrics,
-            "final_token_count": int(result.final_token_counts[0]),
+            "final_token_count": result.per_block_counts[-1],
             "per_block_counts": result.per_block_counts,
             "n_samples": int(result.probabilities.shape[0]),
         }

@@ -265,10 +265,12 @@ def fit_frames(values: np.ndarray, expected_frames: int) -> np.ndarray:
     """Zero-pad a spectrogram, or a stack of them, in time (the last axis)
     to the model's frame count.
 
-    Longer clips are rejected: positional tables are sized for one declared
-    clip length and interpolation is out of scope.
+    Empty and longer clips are rejected: positional tables are sized for one
+    declared clip length and interpolation is out of scope.
     """
     n_frames = values.shape[-1]
+    if n_frames == 0:
+        raise ShapeError("clip has no frames")
     if n_frames > expected_frames:
         raise ShapeError(
             f"clip has {n_frames} frames but the model expects at most "

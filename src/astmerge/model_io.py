@@ -246,11 +246,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: manifest is not UTF-8 text: {e}") from e
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty manifest")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: manifest header is not JSON: {e}") from e
     _check_fields(path, header, _MANI1_HEADER, "manifest header")
@@ -264,7 +264,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             f"got {header['task_kind']!r}"
         )
     entries = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in lines[1:]:
         try:
             row = json.loads(ln)
         except json.JSONDecodeError as e:

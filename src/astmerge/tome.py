@@ -96,28 +96,21 @@ def merge_step(
     # Fold sources into destinations on flattened b*n + index rows: x_d
     # becomes x_d + sum(s_a * (x_a - x_d)) / s_new, summed in edge order.
     # This delta form keeps merging identical vectors exactly idempotent and
-    # conserves the total size mass. A stable sort groups the edges by
-    # destination in edge order; the k-th edge of every group is added in
-    # one vectorised step, so each sum runs in edge order. Starting from the
-    # first edge rather than 0 + it differs only for a -0.0 delta, which
-    # needs x_d = +0.0, and x_d + delta is +0.0 either way.
+    # conserves the total size mass. Each destination's sums start from zero
+    # and ``np.add.at`` adds in index order, so they run in edge order; the
+    # 1-D form on the flat [m*d] delta is the fast one.
     row = np.arange(b)[:, None] * n
     fsrc, fdst = (src + row).ravel(), (dst + row).ravel()
     flat, flat_sizes = tokens.reshape(b * n, d), sizes.reshape(b * n)
-    by_dst = np.argsort(fdst, kind="stable")
-    fsrc, fdst = fsrc[by_dst], fdst[by_dst]
-    first = np.flatnonzero(np.r_[True, fdst[1:] != fdst[:-1]])
-    dest = fdst[first]
-    group = np.repeat(np.arange(dest.size), np.diff(np.r_[first, fdst.size]))
-    rank = np.arange(fdst.size) - first[group]
+    dest, slot = np.unique(fdst, return_inverse=True)
     mass = flat_sizes[fsrc]
-    contrib = mass[:, None] * (flat[fsrc] - flat[fdst])
-    delta = contrib[first]
-    gain = mass[first]
-    for k in range(1, int(rank.max()) + 1):
-        at_k = rank == k
-        delta[group[at_k]] += contrib[at_k]
-        gain[group[at_k]] += mass[at_k]
+    delta = np.zeros((dest.size, d), dtype=np.float32)
+    np.add.at(
+        delta.reshape(-1), (slot[:, None] * d + np.arange(d)).ravel(),
+        (mass[:, None] * (flat[fsrc] - flat[fdst])).ravel(),
+    )
+    gain = np.zeros(dest.size, dtype=np.float32)
+    np.add.at(gain, slot, mass)
 
     keep = np.ones(b * n, dtype=bool)
     keep[fsrc] = False

@@ -386,14 +386,16 @@ class TestErrorReporting:
             (1, "7", "manifest line 2 is not a JSON object"),
             (1, '{"path": 7, "label": 0}', "manifest line 2 field 'path' has the wrong type"),
             (2, '{"label": 0}', "manifest line 3 lacks field 'path'"),
+            (2, "\n\n[1]", "manifest line 5 is not a JSON object"),
         ],
-        ids=["header-list", "entry-number", "path-number", "no-path"],
+        ids=["header-list", "entry-number", "path-number", "no-path", "after-blank-lines"],
     )
     def test_malformed_manifest_line_is_format_error(
         self, workspace, capsys, line, text, where
     ):
         """A header or entry line that is not a JSON object, or an entry
-        without a string path, exits 2 with one format line naming it."""
+        without a string path, exits 2 with one format line naming it by its
+        line in the file, blank lines counted."""
         tmp, model, manifest, _ = workspace
         lines = manifest.read_text().splitlines()
         lines[line] = text
@@ -600,11 +602,13 @@ class TestErrorReporting:
         [
             ("bad.spec", lambda p: save_spec(p, Spectrogram(np.zeros((128, 40), np.float32))),
              "shape"),  # 40 frames, the model takes at most 16
+            ("bad.spec", lambda p: save_spec(p, Spectrogram(np.zeros((128, 0), np.float32))),
+             "shape"),
             ("bad.wav", write_empty_wav, "config"),
             ("bad.wav", lambda p: write_wav(p, Waveform(np.zeros(40), sample_rate=40)),
              "config"),  # a 40 Hz rate leaves no window
         ],
-        ids=["overlong-spec", "empty-wav", "40-hz-wav"],
+        ids=["overlong-spec", "empty-spec", "empty-wav", "40-hz-wav"],
     )
     def test_unfit_clip_error_names_the_file(self, workspace, capsys, name, write, category):
         tmp, model, _, _ = workspace

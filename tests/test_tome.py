@@ -235,9 +235,10 @@ class TestBatch:
 
 class TestFold:
     def test_fold_bitwise_equals_add_at_reference(self, pool):
-        """The sort-by-destination fold against the np.add.at fold, bit for
-        bit: batches whose destinations take 1 to 5 sources, -0.0 tokens,
-        and destinations shared across rows only by their index."""
+        """The batched fold against the per-row np.add.at fold, bit for bit:
+        destinations that take from 1 to more than 8 sources (a pairwise
+        reduction regroups sums of 8 or more), -0.0 tokens, and destinations
+        shared across rows only by their index."""
         rng = np.random.default_rng(9)
         fan_in = set()
         for _ in range(300):
@@ -259,6 +260,7 @@ class TestFold:
             for row in dst:
                 fan_in.update(np.unique(row, return_counts=True)[1].tolist())
         assert {1, 2, 3, 4, 5} <= fan_in
+        assert max(fan_in) > 8
 
 
 class TestConservationLaws:
