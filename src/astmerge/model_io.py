@@ -1,12 +1,11 @@
 """Model/manifest serialization and deterministic synthetic generation.
 
 ``MODL1`` is a single little-endian file: 5-byte magic, a version byte, a
-length-prefixed JSON header (config plus a tensor table), then the raw
-float32 tensor payloads in table order. The table lists exactly the names of
-``transformer.tensor_layout`` in its order; the shapes are checked against
-that layout when the model is built. ``MANI1`` manifests are JSON
-lines: a header object followed by one {path, label} object per sample;
-line order defines teacher-logits alignment.
+length-prefixed JSON header (the model and spectrogram configs and the input
+normalisation), then the raw float32 tensors in ``transformer.tensor_layout``
+order, at the layout's shapes; the file states no tensor names or shapes of
+its own. ``MANI1`` manifests are JSON lines: a header object followed by one
+{path, label} object per sample; line order defines teacher-logits alignment.
 
 Synthetic weights and datasets are pure functions of (seed, config) drawn
 from the Philox counter-based generator, so desk-scale experiments are
@@ -21,8 +20,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
-from itertools import zip_longest
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -41,8 +39,9 @@ from .transformer import (
 
 MODL1_MAGIC = b"MODL1"
 # Version 1 headers could set the window, FFT, mel edges, log floor and
-# patching; they are refused, not read with those settings ignored.
-MODL1_VERSION = 2
+# patching, and versions 1 and 2 carried a tensor table that could only
+# repeat the layout; both are refused, not read with those parts ignored.
+MODL1_VERSION = 3
 MANI1_MAGIC = "MANI1"
 
 _MASK64 = (1 << 64) - 1
@@ -80,7 +79,6 @@ _MODL1_HEADER = {
     **{name: _json_fields(cls) for name, (_, cls) in _SECTIONS.items()},
     "norm_mean": _NUM,
     "norm_std": _NUM,
-    "tensors": (list,),
 }
 _MANI1_HEADER = {"magic": (str,), "task_kind": (str,), "clip_seconds": _NUM}
 _MANI1_ENTRY = {"path": (str,), "label": _ANY_JSON}
@@ -108,26 +106,23 @@ def _check_fields(
 
 
 def save_model(path: str | Path, w: ModelWeights) -> None:
-    table = w.tensors()
     header = {
         **{name: asdict(getattr(w, attr)) for name, (attr, _) in _SECTIONS.items()},
         "norm_mean": w.norm_mean,
         "norm_std": w.norm_std,
-        "tensors": [
-            {"name": name, "shape": list(t.shape)} for name, t in table
-        ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MODL1_MAGIC)
         f.write(struct.pack("<BI", MODL1_VERSION, len(blob)))
         f.write(blob)
-        for _, t in table:
+        for _, t in w.tensors():
             f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
 
 
 def load_model(path: str | Path) -> ModelWeights:
-    """Read a MODL1 file; its tensors are views of one buffer, read once."""
+    """Read a MODL1 file; its tensors are read-only views of one buffer,
+    read once."""
     with open(path, "rb") as f:
         head = f.read(10)
         if head[:5] != MODL1_MAGIC:
@@ -148,34 +143,23 @@ def load_model(path: str | Path) -> ModelWeights:
             attr: cls(**{key: header[name][key] for key in _MODL1_HEADER[name]})
             for name, (attr, cls) in _SECTIONS.items()
         }
-        entries = header["tensors"]
-        for t in entries:
-            if not (isinstance(t, dict) and isinstance(t.get("name"), str)
-                    and isinstance(t.get("shape"), list)
-                    and all(type(v) is int and v >= 0 for v in t["shape"])):
-                raise FormatError(f"{path}: malformed MODL1 tensor entry {t!r}")
-        names = [t["name"] for t in entries]
-        for i, (got, want) in enumerate(zip_longest(names, tensor_layout(**configs))):
-            if got != want:
-                raise FormatError(
-                    f"{path}: MODL1 tensor entry {i} is {got!r}, the model's "
-                    f"layout has {want!r} there"
-                )
-        shapes = [tuple(t["shape"]) for t in entries]
-        payload = read_float32(f, path, "MODL1 tensor", (sum(map(math.prod, shapes)),))
+        # Sized from one block, so a header declaring a huge depth fails on
+        # the file's size before every tensor is listed.
+        one = tensor_layout(replace(configs["config"], depth=1), configs["spec_config"])
+        block = sum(math.prod(s) for name, s in one.items() if name.startswith("block0."))
+        size = sum(map(math.prod, one.values())) + (configs["config"].depth - 1) * block
+        payload = read_float32(f, path, "MODL1 tensor", (size,))
+    payload.flags.writeable = False  # every tensor view inherits this
     tensors, offset = {}, 0
-    for name, shape in zip(names, shapes):
+    for name, shape in tensor_layout(**configs).items():
         t = payload[offset : offset + math.prod(shape)]
         if not np.isfinite(t).all():
             raise FormatError(f"{path}: tensor {name!r} holds NaN or infinite values")
         tensors[name] = t.reshape(shape)
         offset += t.size
-    try:
-        return ModelWeights.from_tensors(
-            tensors, **configs, norm_mean=header["norm_mean"], norm_std=header["norm_std"]
-        )
-    except ShapeError as e:
-        raise ShapeError(f"{path}: {e}") from None
+    return ModelWeights.from_tensors(
+        tensors, **configs, norm_mean=header["norm_mean"], norm_std=header["norm_std"]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +285,7 @@ def generate_synthetic_model(
 
     Walks the MODL1 layout in file order: LayerNorm gains are 1, biases 0,
     and every other tensor is standard normal scaled by 1/sqrt(d), drawn in
-    that order from Philox(key=seed).
+    that order from Philox(key=seed). Every tensor is read-only.
     """
     spec_config = spec_config or SpectrogramConfig()
     rng = _rng(seed)
@@ -314,6 +298,7 @@ def generate_synthetic_model(
             tensors[name] = np.zeros(shape, dtype=np.float32)
         else:
             tensors[name] = rng.standard_normal(shape, dtype=np.float32) * scale
+        tensors[name].flags.writeable = False
     return ModelWeights.from_tensors(
         tensors, config=config, spec_config=spec_config, norm_mean=norm_mean,
         norm_std=norm_std,
@@ -425,6 +410,6 @@ def fit_head_probe(
     gram = x.T @ x
     alpha = PROBE_RIDGE * np.trace(gram) / gram.shape[0]
     coef = np.linalg.solve(gram + alpha * np.eye(gram.shape[0]), x.T @ y)
-    return HeadWeights(
-        linear=coef[:-1].astype(np.float32), bias=coef[-1].astype(np.float32)
-    )
+    linear, bias = coef[:-1].astype(np.float32), coef[-1].astype(np.float32)
+    linear.flags.writeable = bias.flags.writeable = False
+    return HeadWeights(linear=linear, bias=bias)

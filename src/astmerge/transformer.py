@@ -40,6 +40,10 @@ from .pool import SamplePool, sample_pool
 from .tome import ToMeConfig, merge_capacity, merge_step
 
 LN_EPS = 1e-5
+# The finite float32 range, as Python floats: the largest value and the
+# smallest normal one.
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).tiny)
 
 
 @dataclass(frozen=True)
@@ -140,12 +144,13 @@ class ModelWeights:
     norm_std: float = 1.0
 
     def __post_init__(self) -> None:
-        # forward_spectrograms divides by norm_std
-        if not (math.isfinite(self.norm_mean) and math.isfinite(self.norm_std)
-                and self.norm_std > 0.0):
+        # forward_spectrograms divides by them as float32 values; compared
+        # as Python floats, since casting an overflowing value warns
+        if not (abs(self.norm_mean) <= F32_MAX and F32_TINY <= self.norm_std <= F32_MAX):
             raise ConfigError(
-                f"norm_mean must be finite and norm_std finite and > 0, got "
-                f"{self.norm_mean} and {self.norm_std}"
+                f"norm_mean must be within +-{F32_MAX:g} and norm_std in "
+                f"[{F32_TINY:g}, {F32_MAX:g}] (float32), got {self.norm_mean} and "
+                f"{self.norm_std}"
             )
         if len(self.blocks) != self.config.depth:
             raise ConfigError(

@@ -73,28 +73,22 @@ def _cosine64(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v) / (nu * nv)
 
 
-def brute_force_merge(tokens, sizes, keys, r, protect_cls):
+def brute_force_merge(tokens, sizes, keys, r):
     """Enumerate-and-sort reference for one merge step.
 
     Returns (merged tokens float64, merged sizes float64, edges) where edges
     is [(src, dst, sim)] in selection order. Mirrors the declared rules:
     alternating partition with [CLS] forced to the destination side, row
     argmax with lowest-destination tie-break, descending-similarity edge
-    ranking with lowest-source tie-break, capacity min(|A|, n - floor).
+    ranking with lowest-source tie-break, capacity min(|A|, n - 2).
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
     n = tokens.shape[0]
-    if protect_cls:
-        set_a = [i for i in range(n) if i % 2 == 1]
-        set_b = [i for i in range(n) if i % 2 == 0]
-        floor = 2
-    else:
-        set_a = [i for i in range(n) if i % 2 == 0]
-        set_b = [i for i in range(n) if i % 2 == 1]
-        floor = 1
-    eff = min(r, len(set_a), n - floor)
+    set_a = [i for i in range(n) if i % 2 == 1]
+    set_b = [i for i in range(n) if i % 2 == 0]
+    eff = min(r, len(set_a), n - 2)
     if n < 2 or eff <= 0:
         return tokens.copy(), sizes.copy(), []
 

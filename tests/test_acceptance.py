@@ -133,9 +133,7 @@ def test_c04_merge_oracle(pool):
                     tokens.copy()[None], sizes.copy()[None], keys[None], ToMeConfig(r=r), pool
                 )
                 out, out_sizes = out[0], out_sizes[0]
-                ref_tokens, ref_sizes, ref_edges = brute_force_merge(
-                    tokens, sizes, keys, r, True
-                )
+                ref_tokens, ref_sizes, ref_edges = brute_force_merge(tokens, sizes, keys, r)
                 got = [] if edges is None else list(
                     zip(edges[0][0].tolist(), edges[1][0].tolist())
                 )

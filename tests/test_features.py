@@ -197,7 +197,8 @@ class TestNormalize:
 
     def test_nonpositive_std_rejected(self, tiny_model):
         for mean, std in ((0.0, 0.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf),
-                          (math.nan, 1.0)):
+                          (math.nan, 1.0), (0.0, 1e-300), (0.0, 1e-45), (0.0, 1e39),
+                          (1e39, 1.0)):
             with pytest.raises(ConfigError):
                 replace(tiny_model, norm_mean=mean, norm_std=std)
 

@@ -1,7 +1,9 @@
 """MODL1/MANI1 round-trips, seeded generation, synthetic data, probe fit."""
 
 import hashlib
+import json
 import math
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -29,7 +31,7 @@ from astmerge.model_io import (
     class_templates,
     generate_synthetic_teacher_logits,
 )
-from astmerge.transformer import forward_spectrograms
+from astmerge.transformer import forward_spectrograms, tensor_layout
 
 TINY = ModelConfig(
     depth=1, embed_dim=16, n_heads=2, mlp_ratio=2.0, clip_seconds=0.16, n_classes=3
@@ -38,6 +40,12 @@ TINY = ModelConfig(
 # Frozen from the Philox(key=seed) draw order; stable across runs and
 # platforms for a given numpy generation (numpy 2.x stream).
 TINY_SEED0_SHA256 = "02d46c90e8fb6ce4799d173ffd5d060250ba00e3652e19e7ef8a7352e1a3ae7b"
+
+
+def modl1_header(data):
+    """A MODL1 file's JSON header, and the payload after it."""
+    (header_len,) = struct.unpack_from("<I", data, 6)
+    return json.loads(data[10 : 10 + header_len]), data[10 + header_len :]
 
 
 def model_digest(weights):
@@ -58,7 +66,8 @@ class TestModelFile:
         assert loaded.config == w.config
         for (n1, t1), (n2, t2) in zip(w.tensors(), loaded.tensors()):
             assert n1 == n2
-            assert t2.dtype == np.float32 and t2.flags.c_contiguous and t2.flags.writeable
+            assert t2.dtype == np.float32 and t2.flags.c_contiguous
+            assert not t2.flags.writeable
             np.testing.assert_array_equal(t1.view(np.uint32), t2.view(np.uint32))
 
     def test_corrupted_magic_named_in_error(self, tmp_path):
@@ -83,15 +92,27 @@ class TestModelFile:
 
     def test_version_1_file_is_format_error(self, tmp_path):
         """A version-1 file, whose header could carry window or patch
-        settings this build does not read, is refused by its version byte."""
-        p = tmp_path / "v1.modl"
+        settings this build does not read, and a version-2 file, whose
+        tensor table repeated the layout, are refused by their version byte."""
+        p = tmp_path / "old.modl"
         save_model(p, generate_synthetic_model(0, TINY))
         data = bytearray(p.read_bytes())
-        assert data[5] == 2
-        data[5] = 1
-        p.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="unknown MODL1 version 1, expected 2"):
-            load_model(p)
+        assert data[5] == 3
+        for version in (1, 2):
+            data[5] = version
+            p.write_bytes(bytes(data))
+            with pytest.raises(
+                FormatError, match=f"unknown MODL1 version {version}, expected 3"
+            ):
+                load_model(p)
+
+    def test_header_holds_the_configs_and_norm_only(self, tmp_path):
+        """The header states no tensor table: the layout follows from its
+        configs."""
+        p = tmp_path / "m.modl"
+        save_model(p, generate_synthetic_model(0, TINY))
+        header, _ = modl1_header(p.read_bytes())
+        assert sorted(header) == ["model", "norm_mean", "norm_std", "spectrogram"]
 
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "trunc.modl"
@@ -108,16 +129,34 @@ class TestModelFile:
         with pytest.raises(FormatError, match="payload"):
             load_model(p)
 
+    def test_huge_declared_depth_fails_on_payload_size(self, tmp_path):
+        """A header declaring 10**8 blocks is refused on the file's size,
+        sized from one block, before any tensor is listed."""
+        p = tmp_path / "m.modl"
+        save_model(p, generate_synthetic_model(0, TINY))
+        data = p.read_bytes()
+        header, payload = modl1_header(data)
+        header["model"]["depth"] = 10**8
+        blob = json.dumps(header).encode()
+        p.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob + payload)
+        layout = tensor_layout(TINY, SpectrogramConfig())
+        block = sum(math.prod(s) for n, s in layout.items() if n.startswith("block0."))
+        size = 4 * sum(map(math.prod, layout.values()))
+        expected = f"payload is {size} bytes, expected {size + 4 * (10**8 - 1) * block}$"
+        with pytest.raises(FormatError, match=expected):
+            load_model(p)
+
     def test_writing_one_tensor_leaves_the_others(self, tmp_path):
-        """The tensors share one buffer; none overlaps another."""
-        save_model(tmp_path / "m.modl", generate_synthetic_model(4, TINY))
+        """The tensors are read-only views that tile one buffer in layout
+        order, so none overlaps another."""
+        w = generate_synthetic_model(4, TINY)
+        save_model(tmp_path / "m.modl", w)
         table = load_model(tmp_path / "m.modl").tensors()
-        before = [t.copy() for _, t in table]
-        for i, (name, t) in enumerate(table):
-            t[...] = np.float32(i + 0.5)
-            for j, (other, u) in enumerate(table):
-                expected = np.float32(j + 0.5) if j <= i else before[j]
-                assert np.all(u == expected), (name, other)
+        starts = [t.ctypes.data for _, t in table]
+        ends = [start + t.nbytes for start, (_, t) in zip(starts, table)]
+        assert starts[1:] == ends[:-1]
+        assert ends[-1] - starts[0] == sum(t.nbytes for _, t in w.tensors())
+        assert not any(t.flags.writeable for _, t in table)
 
     def test_peak_memory_is_one_payload(self, tmp_path):
         """load_model reads the payload once into the buffer its tensors
@@ -153,6 +192,9 @@ class TestSyntheticModel:
         assert model_digest(generate_synthetic_model(0, TINY)) == model_digest(
             generate_synthetic_model(0, TINY)
         )
+
+    def test_tensors_are_read_only(self):
+        assert not any(t.flags.writeable for _, t in generate_synthetic_model(0, TINY).tensors())
 
     def test_pinned_checksum(self):
         assert model_digest(generate_synthetic_model(0, TINY)) == TINY_SEED0_SHA256
@@ -332,6 +374,7 @@ class TestHeadProbe:
         data_cfg = SyntheticDataConfig(n_classes=4, clip_seconds=1.0, noise_std=0.5)
         specs, labels = generate_synthetic_dataset(3, 40, data_cfg)
         head = fit_head_probe(weights, specs, labels, batch_size=8)
+        assert not (head.linear.flags.writeable or head.bias.flags.writeable)
         cls, _ = forward_spectrograms(weights, specs, ToMeConfig(r=0), batch_size=8)
         probs = softmax(cls @ head.linear + head.bias)
         acc = float(np.mean(np.argmax(probs, axis=1) == labels))

@@ -295,9 +295,7 @@ class TestOracleEquivalence:
             sizes = rng.integers(1, 4, size=n).astype(np.float32)
             keys = rng.standard_normal((n, d))
             out, out_sizes, edges = merge_one(pool, tokens, keys, ToMeConfig(r=r), sizes=sizes)
-            ref_tokens, ref_sizes, ref_edges = brute_force_merge(
-                tokens, sizes, keys, r, protect_cls=True
-            )
+            ref_tokens, ref_sizes, ref_edges = brute_force_merge(tokens, sizes, keys, r)
             assert [(s, t) for s, t, _ in edges] == [(s, t) for s, t, _ in ref_edges]
             np.testing.assert_allclose(out, ref_tokens, atol=1e-6)
             np.testing.assert_allclose(out_sizes, ref_sizes, atol=0)
