@@ -22,6 +22,7 @@ from .errors import (
     AstmergeError,
     ConfigError,
     FormatError,
+    NumericError,
     ShapeError,
 )
 from .features import (

@@ -21,7 +21,7 @@ from statistics import median
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, ShapeError
+from .errors import AlignmentError, ConfigError, NumericError, ShapeError
 from .features import compute_log_mel, fit_frames, load_spec, read_wav
 from .head import (
     HeadWeights,
@@ -201,8 +201,14 @@ def run_inference(
     labels = _labels(manifest, weights)
     specs = inputs if inputs is not None else load_inputs(manifest, weights)
     tome = ToMeConfig(r=r)
-    cls, counts = _forward_all(weights, specs, tome, batch_size, threads)
-    logits, probs = _predict(weights.head, weights.config.task_kind, cls)
+    # a forward that leaves float32's range is caught once, at the logits
+    with np.errstate(over="ignore", invalid="ignore"):
+        cls, counts = _forward_all(weights, specs, tome, batch_size, threads)
+        logits, probs = _predict(weights.head, weights.config.task_kind, cls)
+    bad = ~np.isfinite(logits).all(axis=1)
+    if bad.any():
+        path = (manifest.base_dir or Path(".")) / manifest.entries[int(bad.argmax())][0]
+        raise NumericError(f"{path}: logits are not finite; the forward overflowed float32")
     return InferenceResult(
         logits=logits,
         probabilities=probs,

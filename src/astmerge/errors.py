@@ -35,3 +35,9 @@ class AlignmentError(AstmergeError):
     """Inputs that must line up (manifest, logits, model) do not."""
 
     category = "alignment"
+
+
+class NumericError(AstmergeError):
+    """Finite inputs whose forward leaves float32's range."""
+
+    category = "numeric"

@@ -1,14 +1,15 @@
 """One worker pool for the encoder's sample-parallel stages.
 
 OpenBLAS splitting a GEMM over its threads changes the output bits. The
-encoder instead splits samples and MLP row slabs over Python workers while
-BLAS runs one thread, so each sample runs the same operations in the same
-order for every worker and BLAS thread count. The BLAS thread count is
+encoder instead splits clips over Python workers while BLAS runs one
+thread, so each clip runs the same operations in the same order for every
+worker count, BLAS thread count and batch. The BLAS thread count is
 process-wide: two forwards must not run at once in one process.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import math
@@ -37,21 +38,27 @@ def blas_threads():
 
 
 class SamplePool:
-    """``workers`` threads, the caller among them; worker k owns scratch k."""
+    """``workers`` threads, the caller among them; worker k owns scratch k,
+    made when it is first asked for."""
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = workers
         self.executor = ThreadPoolExecutor(workers - 1) if workers > 1 else None
-        self._scratch: list[dict[str, np.ndarray]] = [{} for _ in range(workers)]
+        self._scratch: dict[tuple[int, str], np.ndarray] = {}
 
     def split(self, fn, n: int) -> None:
         """fn(worker, lo, hi) on at most one contiguous range of range(n) per
-        worker, the caller taking the first; worker errors are re-raised."""
+        worker, the caller taking the first; each worker runs in a copy of
+        the caller's context (so its ``np.errstate``), and worker errors are
+        re-raised."""
         w = min(self.workers, n)
         if w < 1:
             return
         bounds = [k * n // w for k in range(w + 1)]
-        futures = [self.executor.submit(fn, k, bounds[k], bounds[k + 1]) for k in range(1, w)]
+        futures = [
+            self.executor.submit(contextvars.copy_context().run, fn, k, bounds[k], bounds[k + 1])
+            for k in range(1, w)
+        ]
         try:
             fn(0, bounds[0], bounds[1])
         finally:
@@ -62,10 +69,10 @@ class SamplePool:
     def scratch(self, worker: int, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """Worker ``worker``'s float32 buffer ``name`` as ``shape``, kept for
         the pool's life."""
-        size, store = math.prod(shape), self._scratch[worker]
-        if name not in store or store[name].size < size:
-            store[name] = np.empty(size, dtype=np.float32)
-        return store[name][:size].reshape(shape)
+        size, key = math.prod(shape), (worker, name)
+        if key not in self._scratch or self._scratch[key].size < size:
+            self._scratch[key] = np.empty(size, dtype=np.float32)
+        return self._scratch[key][:size].reshape(shape)
 
 
 def pool_plan(threads: int = 1) -> tuple[int, int]:

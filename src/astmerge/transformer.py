@@ -303,30 +303,30 @@ _MLP_ROWS = 256  # rows per slab; one slab's LN and hidden buffers stay in L2
 
 
 def mlp_batch(x: np.ndarray, w: BlockWeights, pool: SamplePool) -> np.ndarray:
-    """Residual MLP sub-layer x + W2 gelu(W1 ln2(x)), run over row slabs;
-    each worker of ``pool`` takes a contiguous range of slabs and its own
-    LayerNorm and hidden buffers; every matmul writes in place."""
+    """Residual MLP sub-layer x + W2 gelu(W1 ln2(x)); each worker of ``pool``
+    runs its samples in row slabs from the sample's row 0, in its own
+    LayerNorm and hidden buffers, so no slab spans two samples."""
     b, n, d = x.shape
-    flat = x.reshape(b * n, d)
-    out = np.empty_like(flat)
-    rows = min(_MLP_ROWS, flat.shape[0])
+    out = np.empty_like(x)
+    rows = min(_MLP_ROWS, n)
 
     def run(worker: int, lo: int, hi: int) -> None:
         h = pool.scratch(worker, "ln2", (rows, d))
         hidden = pool.scratch(worker, "hidden", (rows, w.mlp_in.shape[1]))
         act = pool.scratch(worker, "gelu", hidden.shape)
-        for start in range(lo * _MLP_ROWS, hi * _MLP_ROWS, _MLP_ROWS):
-            chunk, dst = flat[start : start + rows], out[start : start + rows]
-            m = chunk.shape[0]
-            layer_norm(chunk, w.ln2_gain, w.ln2_bias, out=h[:m])
-            np.matmul(h[:m], w.mlp_in, out=hidden[:m])
-            hidden[:m] += w.mlp_in_bias
-            np.matmul(gelu(hidden[:m], out=act[:m]), w.mlp_out, out=dst)
-            dst += w.mlp_out_bias
-            dst += chunk
+        for i in range(lo, hi):
+            for start in range(0, n, rows):
+                chunk, dst = x[i, start : start + rows], out[i, start : start + rows]
+                m = chunk.shape[0]
+                layer_norm(chunk, w.ln2_gain, w.ln2_bias, out=h[:m])
+                np.matmul(h[:m], w.mlp_in, out=hidden[:m])
+                hidden[:m] += w.mlp_in_bias
+                np.matmul(gelu(hidden[:m], out=act[:m]), w.mlp_out, out=dst)
+                dst += w.mlp_out_bias
+                dst += chunk
 
-    pool.split(run, -(-flat.shape[0] // _MLP_ROWS))
-    return out.reshape(b, n, d)
+    pool.split(run, b)
+    return out
 
 
 def _merge_batch(

@@ -32,6 +32,7 @@ from astmerge import (
     load_teacher_logits,
     mean_average_precision,
     patch_count,
+    run_inference,
     save_manifest,
     save_model,
     save_spec,
@@ -94,6 +95,27 @@ def test_c02_token_reduction_law(desk_model):
         "C2 token-reduction law", ok,
         f"final={counts[-1]} counts={counts}",
     )
+
+
+def test_desk_batch_size_does_not_change_logits(desk_model):
+    """Two 5 s clips at r=15, one batch of 2 against two batches of 1. After
+    block 5 a clip has 514 tokens: two 256-row MLP slabs and 2 rows. MLP
+    slabs that crossed clips would give the lone clip a 2-row GEMM that
+    NumPy's bundled OpenBLAS (0.3.31, Haswell kernel) rounds differently
+    from the same rows inside a full slab. On a BLAS without OpenBLAS's
+    small-matrix GEMM path this passes whatever the code does."""
+    rng = np.random.default_rng(15)
+    specs = rng.standard_normal(
+        (2, desk_model.spec_config.n_mels, desk_model.expected_frames)
+    ).astype(np.float32)
+    manifest = DatasetManifest(
+        entries=[("a.spec", 0), ("b.spec", 1)], task_kind="single-label", clip_seconds=5.0
+    )
+    logits = [
+        run_inference(desk_model, manifest, 15, batch_size=b, inputs=specs).logits.tobytes()
+        for b in (1, 2)
+    ]
+    report("desk batch-size invariance (r=15)", logits[0] == logits[1])
 
 
 def test_c03_r0_noop_bitwise(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import warnings
 import wave
 from dataclasses import replace
 
@@ -510,6 +511,37 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
         assert "'block0.qkv'" in err
+
+    @pytest.mark.parametrize("case", ["norm-std-2e-38", "spec-3e38"])
+    def test_overflowing_forward_is_numeric_error(self, workspace, capsys, case):
+        """Finite inputs whose forward leaves float32's range: a model whose
+        norm_std is 2e-38, and one SPEC1 clip of 3e38 values. The run ends
+        in one `numeric` line naming the first bad clip, not in NaN metrics;
+        any RuntimeWarning, from a pool worker too, fails the test."""
+        tmp, model, manifest, _ = workspace
+        if case == "norm-std-2e-38":
+            model, named = tmp / "tiny_std.modl", "00000.spec"
+            assert main([
+                "make-model", "--out", str(model), "--depth", "1", "--dim", "16",
+                "--heads", "2", "--clip-seconds", "0.16", "--classes", "3",
+                "--norm-std", "2e-38",
+            ]) == 0
+        else:
+            named = "00003.spec"
+            spec = tmp / "data" / "specs" / named
+            data = spec.read_bytes()
+            spec.write_bytes(data[:13] + np.full((len(data) - 13) // 4, 3e38, "<f4").tobytes())
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "bench", "--model", str(model), "--manifest", str(manifest),
+                "--r", "0", "--batch", "4",
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:numeric:") and len(err.splitlines()) == 1
+        assert named in err
 
     def test_undecodable_manifest_is_format_error(self, workspace, capsys):
         tmp, model, manifest, _ = workspace

@@ -3,6 +3,7 @@ or the BLAS thread count, and the BLAS pool size is always restored."""
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,3 +198,16 @@ def test_split_covers_the_range_and_reraises_worker_errors():
             sp.split(fail_in_worker, 7)
     finally:
         sp.executor.shutdown()
+
+
+def test_unused_workers_allocate_nothing():
+    """A pool sized far past the clips it splits holds no per-worker state:
+    threads start on submit and scratch is made on first use."""
+    tracemalloc.start()
+    try:
+        sp = SamplePool(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sp.executor.shutdown()
+    assert peak < 1 << 20

@@ -300,16 +300,26 @@ class TestBlockBuffers:
         np.testing.assert_array_equal(bits(layer_norm(x[2], gain, bias)), bits(bias))
 
     @pytest.mark.parametrize(
-        "b, n", [(3, 13), (2, 109), (5, 109), (4, 128), (1, 300)],
-        ids=["Bn39", "Bn218", "Bn545", "Bn512", "one-sample-300"],
+        "b, n, d, hidden",
+        [(3, 13, 24, 48), (2, 109, 24, 48), (5, 109, 24, 48), (4, 128, 24, 48),
+         (1, 300, 24, 48), (2, 514, 192, 768)],
+        ids=["n13-b3", "n109-b2", "n109-b5", "n128-b4", "one-sample-300", "desk-n514-b2"],
     )
-    def test_batch_rows_equal_rows_run_alone(self, b, n, pool):
-        """B·n below 256, a multiple of 256 and neither; merged sizes in all
-        rows but the first, whose unit sizes take the plain-softmax path
-        when run alone."""
+    def test_batch_rows_equal_rows_run_alone(self, b, n, d, hidden, pool):
+        """Clips shorter than one 256-row MLP slab, one of 300 rows (a full
+        slab and 44 rows) and, at the desk model's width, 514 rows (two full
+        slabs and 2 rows, a clip's length after block 5 at r=15); merged
+        sizes in all rows but the first, whose unit sizes take the
+        plain-softmax path when run alone.
+
+        At the desk width a batch whose slabs crossed clips would give the
+        lone clip's last 2 rows their own GEMM, and NumPy's bundled
+        OpenBLAS (0.3.31, Haswell kernel) rounds such a small GEMM
+        differently. On a BLAS without OpenBLAS's small-matrix GEMM path
+        this case passes whatever the code does."""
         rng = np.random.default_rng(17 + b * n)
-        d, heads = 24, 3
-        w = random_block(rng, d, 2 * d)
+        heads = 3
+        w = random_block(rng, d, hidden)
         x = rng.standard_normal((b, n, d)).astype(np.float32)
         x[-1, n // 2] = -0.0
         sizes = rng.integers(1, 4, size=(b, n)).astype(np.float32)
