@@ -283,7 +283,7 @@ def sweep_report(result: SweepResult) -> tuple[str, str]:
     """
     if not result.rows:
         raise ConfigError("cannot report an empty sweep")
-    json_text = json.dumps(asdict(result), sort_keys=True, indent=2) + "\n"
+    json_text = json.dumps(asdict(result), sort_keys=True, indent=2, allow_nan=False) + "\n"
     lines = ["r,metric,drop,s_per_s,tokens_final"]
     for row in result.rows:
         lines.append(
@@ -319,14 +319,18 @@ def kd_eval(
         loss_g, loss_d = component_losses(batch, kd_cfg)
         return {"loss": kd_loss(batch, kd_cfg), "loss_g": loss_g, "loss_d": loss_d}
 
-    per_batch = [
-        {"start": start, "size": min(batch_size, n - start)}
-        | losses(slice(start, start + batch_size))
-        for start in range(0, n, batch_size)
-    ]
-    return {
-        "lambda": kd_cfg.lam,
-        "tau": kd_cfg.tau,
-        **losses(slice(None)),
-        "per_batch": per_batch,
-    }
+    # teacher logits over a tiny tau can leave float64's range; caught once,
+    # on the overall losses, which every batch's values feed
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_batch = [
+            {"start": start, "size": min(batch_size, n - start)}
+            | losses(slice(start, start + batch_size))
+            for start in range(0, n, batch_size)
+        ]
+        overall = losses(slice(None))
+    if not np.isfinite(list(overall.values())).all():
+        raise NumericError(
+            f"{teacher_logits_path}: distillation loss is not finite; the teacher "
+            f"logits over tau {kd_cfg.tau} overflowed"
+        )
+    return {"lambda": kd_cfg.lam, "tau": kd_cfg.tau, **overall, "per_batch": per_batch}

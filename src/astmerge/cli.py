@@ -147,7 +147,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         }
         if args.teacher_logits is not None:
             report["kd"] = kd_eval(result, args.teacher_logits, kd, cfg.batch_size)
-        json_text, csv_text = json.dumps(report, sort_keys=True, indent=2) + "\n", None
+        json_text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        csv_text = None
     else:
         json_text, csv_text = sweep_report(benchmark_throughput(weights, manifest, cfg))
     if args.out_json:

@@ -1,4 +1,4 @@
-"""Bipartite soft matching token merging, on a whole batch at once.
+"""Bipartite soft matching token merging, one clip at a time on the pool.
 
 One merge step removes up to r tokens from every sequence: partition each
 sequence into the odd positions A and the even positions B, draw an edge
@@ -7,9 +7,10 @@ keep the r highest-scoring edges, and fold each kept source into its
 destination by a size-weighted mean. B tokens never disappear, so [CLS] at
 index 0 is never merged away but still absorbs merges. All tie-breaks are
 lowest-index-first and the surviving tokens keep their original relative
-order, which keeps [CLS] at index 0. Every sequence of a batch shares n and
-r, so the batch stays rectangular, and each row comes out exactly as it
-would alone.
+order, which keeps [CLS] at index 0. Each clip is scored, selected and
+folded on its own by one worker of the encoder's pool; every clip of a batch
+shares n and r, so the batch stays rectangular, and each row comes out
+exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -64,59 +65,57 @@ def merge_step(
     if r <= 0:
         return tokens, sizes, None
 
-    # A = 1::2 are the sources, B = 0::2 the destinations, [CLS] among them.
-    # Cosine similarity in float64 so edge ranking is stable against float32
-    # round-off; zero-norm keys score the sentinel -1 behind every real match.
-    # One sample at a time, split over the workers of ``pool``: the float64
-    # working set stays cache-sized and no batch-sized temporary is made.
-    # The pool comes from ``sample_pool``, whose one-thread BLAS keeps the
-    # similarity bits independent of the BLAS thread count.
-    n_a = n // 2
-    best_b = np.empty((b, n_a), dtype=np.intp)
-    best_sim = np.empty((b, n_a))
+    # One clip at a time, split over the workers of ``pool``: the float64
+    # working set stays cache-sized, and each clip writes its survivors,
+    # sizes and edges into arrays made once per call. ``sample_pool``'s
+    # one-thread BLAS keeps the similarity bits independent of BLAS threads.
+    out = np.empty((b, n - r, d), dtype=tokens.dtype)
+    out_sizes = np.empty((b, n - r), dtype=sizes.dtype)
+    edges = (np.empty((b, r), np.intp), np.empty((b, r), np.intp), np.empty((b, r)))
+    n_a, cols = n // 2, np.arange(d)
 
-    def score(_: int, lo: int, hi: int) -> None:
+    def merge_clip(i: int) -> None:
+        # A = 1::2 are the sources, B = 0::2 the destinations, [CLS] among them.
+        # Cosine similarity in float64 so edge ranking is stable against float32
+        # round-off; zero-norm keys score the sentinel -1 behind every real match.
+        k64 = keys[i].astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", k64, k64))
+        zero = norms == 0.0
+        norms[zero] = 1.0
+        sim = (k64[1::2] / norms[1::2, None]) @ (k64[0::2] / norms[0::2, None]).T
+        sim[zero[1::2]] = -1.0
+        sim[:, zero[0::2]] = -1.0
+        best = sim.argmax(axis=1)  # first max: lowest B position on ties
+        best_sim = sim[np.arange(n_a), best]
+        order = np.argsort(-best_sim, kind="stable")[:r]  # lower A first
+        src, dst = 2 * order + 1, 2 * best[order]
+        edges[0][i], edges[1][i], edges[2][i] = src, dst, best_sim[order]
+        # Fold sources into destinations: x_d becomes x_d + sum(s_a * (x_a - x_d)) /
+        # s_new, summed in edge order. The delta form keeps merging identical vectors
+        # exactly idempotent and conserves the size mass. ``np.add.at`` adds in index
+        # order, so each sum runs in edge order; the 1-D form on the flat [n*d] delta
+        # is the fast one. Every row is x + delta / s_new, so an untouched row is x +
+        # 0/s = x + 0.0 (-0.0 -> +0.0). That needs sizes > 0, which the encoder keeps:
+        # they start at 1 and only grow.
+        x, mass = tokens[i], sizes[i, src]
+        delta = np.zeros((n, d), dtype=np.float32)
+        np.add.at(
+            delta.reshape(-1), (dst[:, None] * d + cols).ravel(),
+            (mass[:, None] * (x[src] - x[dst])).ravel(),
+        )
+        gain = np.zeros(n, dtype=np.float32)
+        np.add.at(gain, dst, mass)
+        gain += sizes[i]
+        np.divide(delta, gain[:, None], out=delta)
+        np.add(x, delta, out=delta)
+        keep = np.ones(n, dtype=bool)
+        keep[src] = False
+        np.compress(keep, delta, axis=0, out=out[i])  # no clip-sized temporary
+        out_sizes[i] = gain[keep]
+
+    def merge(_: int, lo: int, hi: int) -> None:
         for i in range(lo, hi):
-            k64 = keys[i].astype(np.float64)
-            norms = np.sqrt(np.einsum("ij,ij->i", k64, k64))
-            zero = norms == 0.0
-            norms[zero] = 1.0
-            sim = (k64[1::2] / norms[1::2, None]) @ (k64[0::2] / norms[0::2, None]).T
-            sim[zero[1::2]] = -1.0
-            sim[:, zero[0::2]] = -1.0
-            best_b[i] = sim.argmax(axis=1)  # first max: lowest B position on ties
-            best_sim[i] = sim[np.arange(n_a), best_b[i]]
+            merge_clip(i)  # a call per clip: its temporaries are freed before the next
 
-    pool.split(score, b)
-    order = np.argsort(-best_sim, axis=1, kind="stable")[:, :r]  # lower A first
-    src = 2 * order + 1
-    dst = 2 * np.take_along_axis(best_b, order, axis=1)
-    edges = (src, dst, np.take_along_axis(best_sim, order, axis=1))
-
-    # Fold sources into destinations on flattened b*n + index rows: x_d
-    # becomes x_d + sum(s_a * (x_a - x_d)) / s_new, summed in edge order.
-    # This delta form keeps merging identical vectors exactly idempotent and
-    # conserves the total size mass. Each destination's sums start from zero
-    # and ``np.add.at`` adds in index order, so they run in edge order; the
-    # 1-D form on the flat [m*d] delta is the fast one.
-    row = np.arange(b)[:, None] * n
-    fsrc, fdst = (src + row).ravel(), (dst + row).ravel()
-    flat, flat_sizes = tokens.reshape(b * n, d), sizes.reshape(b * n)
-    dest, slot = np.unique(fdst, return_inverse=True)
-    mass = flat_sizes[fsrc]
-    delta = np.zeros((dest.size, d), dtype=np.float32)
-    np.add.at(
-        delta.reshape(-1), (slot[:, None] * d + np.arange(d)).ravel(),
-        (mass[:, None] * (flat[fsrc] - flat[fdst])).ravel(),
-    )
-    gain = np.zeros(dest.size, dtype=np.float32)
-    np.add.at(gain, slot, mass)
-
-    keep = np.ones(b * n, dtype=bool)
-    keep[fsrc] = False
-    at = np.cumsum(keep)[dest] - 1  # destination rows among the survivors
-    merged, new_sizes = flat[keep], flat_sizes[keep]
-    merged += np.float32(0.0)  # untouched rows are x + 0 as well: -0.0 -> +0.0
-    new_sizes[at] += gain
-    merged[at] = flat[dest] + delta / new_sizes[at, None]
-    return merged.reshape(b, n - r, d), new_sizes.reshape(b, n - r), edges
+    pool.split(merge, b)
+    return out, out_sizes, edges

@@ -12,8 +12,9 @@ One compute path runs from a [B x mels x frames] spectrogram stack to the
 [B x d] [CLS] rows, float32 throughout: the stack is patchified and embedded
 batch-wide, the blocks run on [B x n x d] token arrays, and the final
 LayerNorm is applied to the [CLS] rows alone, the only rows the head reads.
-Merge decisions are per-sample but made for the whole batch at once; every
-sample shares n and r, so counts stay aligned and the batch never ragged.
+Attention, merge and MLP each split the batch by clips over one sample pool,
+so a clip runs the same operations alone or in any batch; every clip shares
+n and r, so counts stay aligned and the batch never ragged.
 Every block takes the same path at every r: r = 0 makes each merge a strict
 no-op.
 """
@@ -219,6 +220,7 @@ def layer_norm(
     var = np.einsum("...i,...i->...", centered, centered)[..., None]
     var *= np.float32(1.0 / x.shape[-1])
     var += np.float32(LN_EPS)
+    var += var - var  # an overflowed (inf) variance becomes NaN; finite ones keep their bits
     np.sqrt(var, out=var)
     centered *= np.reciprocal(var, out=var)  # one division per row
     centered *= gain

@@ -119,9 +119,10 @@ def add_at_merge_fold(tokens, sizes, src, dst):
     """Bit reference for merge_step's fold, row by row with ``np.add.at``.
 
     Unlike the rest of this module it runs in float32 on purpose: it is the
-    per-row reference that merge_step's batched fold must match bit for bit.
-    Each destination's delta sum(s_a (x_a - x_d)) and size gain start from
-    zero and add their edges in edge order; survivors are x + 0.
+    reference, built on a slot per destination, that merge_step's dense
+    per-clip fold must match bit for bit. Each destination's delta
+    sum(s_a (x_a - x_d)) and size gain start from zero and add their edges
+    in edge order; survivors are x + 0.
     """
     out_tokens, out_sizes = [], []
     for x, s, sr, ds in zip(tokens, sizes, src, dst):

@@ -50,12 +50,33 @@ HEADER_FIELDS = [
     ("WAV", "data-length", 40, "<I", [(0,), (5122,), (0xFFFFFFFF,)]),
 ]
 
+# What a seeded mutation may write: into a JSON field (MODL1 header, MANI1
+# line), into a float32 payload (MODL1, SPEC1, TLOG1) or an int16 one (WAV).
+ODD_JSON_VALUES = [
+    0, -1, 1, 2, 7, 2**31, 2**64, 1e308, -3e38, 5e-324, 0.5, -0.0, "", "7",
+    "single-label", "multi-label", None, True, [], [1, 0, 1], {},
+]
+ODD_FLOAT32 = [3e38, -3e38, 1e30, -1e20, 1e-45, 1e-38, -0.0, 65504.0]
+ODD_INT16 = [-32768, 32767, 0, -1]
+
 def write_empty_wav(path):
     """A well-formed 16 kHz mono 16-bit WAV holding no samples."""
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(16000)
+
+
+def set_random_json_field(rng, obj):
+    """Set one field of the JSON object ``obj``, at any depth, to a random
+    ``ODD_JSON_VALUES`` entry."""
+    while True:
+        key = list(obj)[rng.integers(len(obj))]
+        if isinstance(obj[key], dict) and obj[key] and rng.random() < 0.75:
+            obj = obj[key]
+            continue
+        obj[key] = ODD_JSON_VALUES[rng.integers(len(ODD_JSON_VALUES))]
+        return
 
 
 def edited_model(model, out, edit):
@@ -512,12 +533,15 @@ class TestErrorReporting:
         assert err.startswith("error:format:") and len(err.splitlines()) == 1
         assert "'block0.qkv'" in err
 
-    @pytest.mark.parametrize("case", ["norm-std-2e-38", "spec-3e38"])
+    @pytest.mark.parametrize("case", ["norm-std-2e-38", "spec-3e38", "projection-bit-30"])
     def test_overflowing_forward_is_numeric_error(self, workspace, capsys, case):
         """Finite inputs whose forward leaves float32's range: a model whose
-        norm_std is 2e-38, and one SPEC1 clip of 3e38 values. The run ends
-        in one `numeric` line naming the first bad clip, not in NaN metrics;
-        any RuntimeWarning, from a pool worker too, fails the test."""
+        norm_std is 2e-38, one SPEC1 clip of 3e38 values, and a MODL1 patch
+        projection weight whose top exponent bit is set (-3.9e36: the
+        embedded tokens overflow LayerNorm's variance, which would otherwise
+        turn every row into its bias and leave the logits finite). The run
+        ends in one `numeric` line naming the first bad clip, not in wrong
+        metrics; any RuntimeWarning, from a pool worker too, fails the test."""
         tmp, model, manifest, _ = workspace
         if case == "norm-std-2e-38":
             model, named = tmp / "tiny_std.modl", "00000.spec"
@@ -526,6 +550,13 @@ class TestErrorReporting:
                 "--heads", "2", "--clip-seconds", "0.16", "--classes", "3",
                 "--norm-std", "2e-38",
             ]) == 0
+        elif case == "projection-bit-30":
+            weights = load_model(model)
+            projection = weights.embedding.projection.copy()
+            projection.view(np.uint32)[5, 3] |= np.uint32(1 << 30)
+            weights.embedding = replace(weights.embedding, projection=projection)
+            model, named = tmp / "flipped.modl", "00000.spec"
+            save_model(model, weights)
         else:
             named = "00003.spec"
             spec = tmp / "data" / "specs" / named
@@ -542,6 +573,24 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error:numeric:") and len(err.splitlines()) == 1
         assert named in err
+
+    def test_overflowing_distillation_loss_is_numeric_error(self, workspace, capsys):
+        """A subnormal tau is finite and positive, so accepted, but the teacher
+        logits over it overflow and the single-label loss would be NaN. The
+        run ends in one `numeric` line naming the teacher file, writes no
+        report, and raises no warning."""
+        tmp, model, manifest, teacher = workspace
+        out = tmp / "kd.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "bench", "--model", str(model), "--manifest", str(manifest), "--r", "1",
+                "--teacher-logits", str(teacher), "--tau", "1e-310", "--out-json", str(out),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:numeric:") and len(err.splitlines()) == 1
+        assert "teacher.tlog" in err and not out.exists()
 
     def test_undecodable_manifest_is_format_error(self, workspace, capsys):
         tmp, model, manifest, _ = workspace
@@ -705,6 +754,70 @@ class TestErrorReporting:
         target.write_bytes(data)
         code = main(argv)
         self.assert_one_error_line(code, capsys.readouterr().err, (offset, values))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_mutations_fail_closed(self, workspace, capsys, seed):
+        """100 seeded mutations per seed, each of one bench input: a random
+        byte, a flipped bit, an odd value in the payload, or an odd value in
+        a header field (a MODL1 header or MANI1 line JSON field, a binary
+        header field). Each run, at r 0, 1 or 5 and for a teacher file at tau
+        1 or 1e-300, ends in exit 0 with a report of finite numbers, or in
+        exit 2 with exactly one error line; a traceback or any warning fails
+        the test."""
+        rng = np.random.default_rng(seed)
+        formats = ["MODL1", "MANI1", "TLOG1", "SPEC1", "WAV"]
+        inputs = {fmt: self.bench_input(workspace, fmt) for fmt in formats}
+        originals = {fmt: target.read_bytes() for fmt, (target, _, _) in inputs.items()}
+
+        def reject(constant):
+            raise AssertionError(f"report holds {constant}")
+
+        for _ in range(100):
+            fmt = formats[rng.integers(len(formats))]
+            target, header_end, argv = inputs[fmt]
+            data = bytearray(originals[fmt])
+            kinds = ["byte", "bit", "field"] + (["value"] if fmt != "MANI1" else [])
+            kind = kinds[rng.integers(len(kinds))]
+            if kind == "byte":
+                data[rng.integers(len(data))] = rng.integers(256)
+            elif kind == "bit":
+                data[rng.integers(len(data))] ^= 1 << int(rng.integers(8))
+            elif kind == "field" and fmt == "MANI1":
+                lines = data.decode().splitlines()
+                at = int(rng.integers(len(lines)))
+                row = json.loads(lines[at])
+                set_random_json_field(rng, row)
+                lines[at] = json.dumps(row)
+                data = bytearray(("\n".join(lines) + "\n").encode())
+            elif kind == "field" and fmt == "MODL1":
+                data = bytearray(edited_model(
+                    target, target, lambda header: set_random_json_field(rng, header)
+                ).read_bytes())
+            elif kind == "field":
+                fields = [f for f in HEADER_FIELDS if f[0] == fmt]
+                _, _, offset, layout, _ = fields[rng.integers(len(fields))]
+                values = [int(rng.integers(2 ** (8 * struct.calcsize(c)))) for c in layout[1:]]
+                struct.pack_into(layout, data, offset, *values)
+            else:  # an odd value at a random payload element
+                layout, odd = ("<h", ODD_INT16) if fmt == "WAV" else ("<f", ODD_FLOAT32)
+                width = struct.calcsize(layout)
+                at = header_end + width * int(rng.integers((len(data) - header_end) // width))
+                struct.pack_into(layout, data, at, odd[rng.integers(len(odd))])
+            target.write_bytes(data)
+            argv[argv.index("--r") + 1] = ["0", "1", "5"][rng.integers(3)]
+            if fmt == "TLOG1":  # a huge teacher logit over a small tau overflows
+                argv = [*argv, "--tau", ["1", "1e-300"][rng.integers(2)]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            target.write_bytes(originals[fmt])
+            if code == 0:
+                assert err == "", (fmt, kind, err)
+                json.loads(out, parse_constant=reject)
+            else:
+                assert code == 2, (fmt, kind, code)
+                assert re.fullmatch(r"error:[a-z]+: [^\n]+\n", err), (fmt, kind, err)
 
     @pytest.mark.parametrize("paths", [["00000.spec", "narrow.spec"], ["narrow.spec"]],
                              ids=["mixed-mel-counts", "only-wrong-mel-count"])

@@ -235,8 +235,9 @@ class TestBatch:
 
 class TestFold:
     def test_fold_bitwise_equals_add_at_reference(self, pool):
-        """The batched fold against the per-row np.add.at fold, bit for bit:
-        destinations that take from 1 to more than 8 sources (a pairwise
+        """merge_step's dense fold, one clip at a time on the pool, against
+        the per-row np.add.at fold over one slot per destination, bit for
+        bit: destinations that take from 1 to more than 8 sources (a pairwise
         reduction regroups sums of 8 or more), -0.0 tokens, and destinations
         shared across rows only by their index."""
         rng = np.random.default_rng(9)
